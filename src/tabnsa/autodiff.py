@@ -79,10 +79,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        # shares the underlying array; cuts the tape
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -134,9 +130,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, mul(_ensure(other), -1.0))
 
-    def __rsub__(self, other):
-        return add(_ensure(other), mul(self, -1.0))
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -147,9 +140,6 @@ class Tensor:
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_ensure(other), self)
 
     def __pow__(self, p):
         return power(self, p)
@@ -171,6 +161,17 @@ class Tensor:
 
     def swapaxes(self, a: int, b: int):
         return swapaxes(self, a, b)
+
+
+def uniform_leaf(rng: np.random.Generator, fan_in: int, *shape: int) -> Tensor:
+    """Trainable leaf drawn from Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in))."""
+    bound = np.sqrt(1.0 / fan_in)
+    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+
+
+def zeros_leaf(*shape: int) -> Tensor:
+    """Trainable leaf of zeros."""
+    return Tensor(np.zeros(shape), requires_grad=True)
 
 
 def _ensure(x) -> Tensor:
@@ -258,12 +259,6 @@ def sqrt(a) -> Tensor:
     a = _ensure(a)
     data = np.sqrt(a.data)
     return _node(data, (a,), lambda g: (g * 0.5 / data,))
-
-
-def tanh(a) -> Tensor:
-    a = _ensure(a)
-    data = np.tanh(a.data)
-    return _node(data, (a,), lambda g: (g * (1.0 - data * data),))
 
 
 def sigmoid(a) -> Tensor:

@@ -26,7 +26,6 @@ from .data import (
     DatasetSplit,
     PreprocessState,
     apply_preprocess,
-    class_weights,
     load_csv,
     prepare_dataset,
     transfer_split,
@@ -34,32 +33,24 @@ from .data import (
 from .hyperopt import (
     SearchSpace,
     best_so_far_curve,
+    fit_model,
     refit_best,
     run_search,
 )
-from .metrics import classification_report, regression_report
 from .model import (
+    FUSION_VARIANTS,
     ModelConfig,
     count_flops,
     count_params,
     dense_attention_flops,
-    init_model_params,
     load_checkpoint,
     save_checkpoint,
 )
 from .nsa_attention import NSAConfig
-from .training import (
-    NanLossError,
-    TrainConfig,
-    fit,
-    fit_lbfgs,
-    predict_proba,
-    predict_values,
-)
+from .training import NanLossError, TrainConfig, evaluation_report
 
 CONFIG_VERSION = 1
 
-FUSION_CHOICES = ("o", "m", "c", "r")
 ABLATE_AXES = ("fusion", "blocks", "optimizer", "sparse_params")
 
 # one-at-a-time sweep grids for the sparse_params ablation axis
@@ -200,29 +191,22 @@ def build_search_space(space_cfg: dict) -> SearchSpace:
 def build_model_config(cfg: dict, split: DatasetSplit | None) -> ModelConfig:
     model = cfg["model"]
     nsa = build_nsa_config(model["nsa"])
-    num_tokens = model["num_tokens"]
-    num_classes = model["num_classes"]
-    regression = model["regression"]
+    shape = {name: model[name] for name in ("num_tokens", "num_classes", "regression")}
     if split is not None:
-        data_tokens = split.train[0].values.shape[1]
-        data_regression = split.train[1].task == "regression"
-        data_classes = 1 if data_regression else split.train[1].num_classes
-        for name, pinned, derived in (
-            ("model.num_tokens", num_tokens, data_tokens),
-            ("model.num_classes", num_classes, data_classes),
-            ("model.regression", regression, data_regression),
-        ):
-            if pinned is not None and pinned != derived:
-                raise ConfigError(name, f"config value {pinned!r} disagrees with the data ({derived!r})")
-        num_tokens, num_classes, regression = data_tokens, data_classes, data_regression
-    if num_tokens is None:
+        derived = split.model_shape()
+        for name, pinned in shape.items():
+            if pinned is not None and pinned != derived[name]:
+                message = f"config value {pinned!r} disagrees with the data ({derived[name]!r})"
+                raise ConfigError(f"model.{name}", message)
+        shape = derived
+    if shape["num_tokens"] is None:
         raise ConfigError("model.num_tokens", "required when no dataset is given")
     try:
         return ModelConfig(
             nsa=nsa,
-            num_tokens=num_tokens,
-            num_classes=num_classes if num_classes is not None else 2,
-            regression=bool(regression),
+            num_tokens=shape["num_tokens"],
+            num_classes=shape["num_classes"] if shape["num_classes"] is not None else 2,
+            regression=bool(shape["regression"]),
             hidden_head=model["hidden_head"],
             num_blocks=model["num_blocks"],
             fusion=model["fusion"],
@@ -309,18 +293,6 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _fit_fn(train_cfg: TrainConfig):
-    return fit_lbfgs if train_cfg.optimizer == "lbfgs" else fit
-
-
-def _test_report(params: dict, model_cfg: ModelConfig, split: DatasetSplit):
-    x_test, y_test = split.test
-    if model_cfg.regression:
-        return regression_report(predict_values(params, model_cfg, x_test.values), y_test.labels)
-    probs = predict_proba(params, model_cfg, x_test.values)
-    return classification_report(probs, y_test.labels, model_cfg.num_classes)
-
-
 def _metric_name(report_dict: dict) -> str:
     if report_dict.get("rmse") is not None:
         return "rmse"
@@ -334,9 +306,8 @@ def _train_once(cfg: dict, raw, seed: int):
     split, state = prepare_dataset(raw, seed)
     model_cfg = build_model_config(cfg, split)
     train_cfg = dataclasses.replace(build_train_config(cfg["train"]), seed=seed)
-    params = init_model_params(model_cfg, np.random.default_rng(seed))
-    params, history = _fit_fn(train_cfg)(params, model_cfg, split, train_cfg)
-    report = _test_report(params, model_cfg, split)
+    params, history = fit_model(model_cfg, split, train_cfg, seed)
+    report = evaluation_report(params, model_cfg, *split.test)
     total_flops, _ = count_flops(model_cfg, batch_size=1)
     summary = {
         "seed": seed,
@@ -455,11 +426,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     features, labels = apply_preprocess(raw, state)
     if features.values.shape[1] != model_cfg.num_tokens:
         raise ConfigError("data.csv", f"{features.values.shape[1]} features; checkpoint expects {model_cfg.num_tokens}")
-    if model_cfg.regression:
-        report = regression_report(predict_values(params, model_cfg, features.values), labels.labels)
-    else:
-        probs = predict_proba(params, model_cfg, features.values)
-        report = classification_report(probs, labels.labels, model_cfg.num_classes)
+    report = evaluation_report(params, model_cfg, features, labels)
     payload = {"checkpoint": os.path.basename(args.checkpoint), "rows": int(features.values.shape[0]), "report": report.to_dict()}
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -495,9 +462,8 @@ def cmd_transfer(args: argparse.Namespace) -> int:
         train_cfg = TrainConfig(**best.train)
         if getattr(args, "optimizer", None):
             train_cfg = dataclasses.replace(train_cfg, optimizer=args.optimizer)
-        params = init_model_params(model_cfg, np.random.default_rng(best.seed))
-        params, history = _fit_fn(train_cfg)(params, model_cfg, split_dst, train_cfg)
-        report = _test_report(params, model_cfg, split_dst)
+        params, history = fit_model(model_cfg, split_dst, train_cfg, best.seed)
+        report = evaluation_report(params, model_cfg, *split_dst.test)
         return {
             "tuned_nsa": best.nsa,
             "applied_nsa": dataclasses.asdict(model_cfg.nsa),
@@ -530,7 +496,7 @@ def _ablate_settings(what: str, cfg: dict) -> list[tuple[str, str, dict]]:
     """(parameter, value-label, config-overrides) triples for one axis."""
     rows: list[tuple[str, str, dict]] = []
     if what == "fusion":
-        for variant in FUSION_CHOICES:
+        for variant in FUSION_VARIANTS:
             rows.append(("fusion", variant, {"model": {"fusion": variant}}))
     elif what == "blocks":
         for depth in (1, 2, 3, 4):
@@ -622,7 +588,7 @@ def _add_common(sub: argparse.ArgumentParser, *, out_required: bool) -> None:
     sub.add_argument("--target", default=None, help="target column name (overrides config data.target)")
     sub.add_argument("--out", required=out_required, default=None, help="output directory")
     sub.add_argument("--optimizer", choices=("adamw", "lbfgs"), default=None)
-    sub.add_argument("--fusion", choices=FUSION_CHOICES, default=None)
+    sub.add_argument("--fusion", choices=FUSION_VARIANTS, default=None)
     sub.add_argument("--causal", action="store_true", help="causal attention masks")
     sub.add_argument("--no-feature-ids", action="store_true", help="disable the per-feature identity embedding")
 

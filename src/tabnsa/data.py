@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,10 +111,26 @@ class DatasetSplit:
         self.indices = indices  # (train_idx, val_idx, test_idx) or None
         self.test_access_count = 0
 
+    @classmethod
+    def from_indices(cls, features: FeatureMatrix, labels: LabelVector, indices, seed: int) -> "DatasetSplit":
+        """Cut encoded rows into the (train_idx, val_idx, test_idx) partition."""
+        return cls(*((features.take(idx), labels.take(idx)) for idx in indices), seed, indices=tuple(indices))
+
     @property
     def test(self):
         self.test_access_count += 1
         return self._test
+
+    def model_shape(self) -> dict:
+        """num_tokens, num_classes and regression of a model fitting these rows;
+        a regression model has one output, so num_classes is 1."""
+        features, labels = self.train
+        regression = labels.task == "regression"
+        return {
+            "num_tokens": features.values.shape[1],
+            "num_classes": 1 if regression else labels.num_classes,
+            "regression": regression,
+        }
 
 
 # -- loading ---------------------------------------------------------------
@@ -258,6 +274,15 @@ def _encode_feature(col: Column, st: dict, n_rows: int) -> np.ndarray:
     return np.array(out, dtype=np.float64)
 
 
+def _target_state(col: Column) -> dict:
+    """A numeric target is regression; any other kind is classification over
+    its sorted distinct values."""
+    if col.kind == NUMERIC:
+        return {"name": col.name, "task": "regression", "classes": None}
+    present = [v for v in col.values if v is not None]
+    return {"name": col.name, "task": "classification", "classes": sorted(set(present))}
+
+
 def _encode_target(col: Column, target_state: dict) -> LabelVector:
     if any(v is None for v in col.values):
         raise ValueError(f"target column {col.name!r} has missing values")
@@ -285,13 +310,6 @@ def preprocess(raw: RawTable, fit_on) -> tuple[FeatureMatrix, LabelVector, Prepr
     fit_on = np.asarray(fit_on, dtype=np.intp)
     if fit_on.size == 0:
         raise ValueError("fit_on must be nonempty")
-
-    target_col = raw.target_column
-    if target_col.kind == NUMERIC:
-        target_state = {"name": target_col.name, "task": "regression", "classes": None}
-    else:
-        present = [v for v in target_col.values if v is not None]
-        target_state = {"name": target_col.name, "task": "classification", "classes": sorted(set(present))}
 
     features: dict[str, dict] = {}
     dropped: list[str] = []
@@ -341,7 +359,7 @@ def preprocess(raw: RawTable, fit_on) -> tuple[FeatureMatrix, LabelVector, Prepr
         feature_names=[c.name for c in raw.feature_columns if c.name not in dropped],
         features=features,
         dropped=dropped,
-        target=target_state,
+        target=_target_state(raw.target_column),
     )
     mat, labels = apply_preprocess(raw, state)
     return mat, labels, state
@@ -420,36 +438,16 @@ def split_indices(labels: LabelVector, seed: int) -> tuple[np.ndarray, np.ndarra
 
 
 def split(features: FeatureMatrix, labels: LabelVector, seed: int) -> DatasetSplit:
-    tr, va, te = split_indices(labels, seed)
-    return DatasetSplit(
-        (features.take(tr), labels.take(tr)),
-        (features.take(va), labels.take(va)),
-        (features.take(te), labels.take(te)),
-        seed,
-        indices=(tr, va, te),
-    )
+    return DatasetSplit.from_indices(features, labels, split_indices(labels, seed), seed)
 
 
 def prepare_dataset(raw: RawTable, seed: int) -> tuple[DatasetSplit, PreprocessState]:
     """Leakage-safe pipeline: split rows first, fit preprocessing on the
     training rows only, then encode every split with the fitted state."""
     target_col = raw.target_column
-    if target_col.kind == NUMERIC:
-        tstate = {"name": target_col.name, "task": "regression", "classes": None}
-    else:
-        present = [v for v in target_col.values if v is not None]
-        tstate = {"name": target_col.name, "task": "classification", "classes": sorted(set(present))}
-    labels_all = _encode_target(target_col, tstate)
-    tr, va, te = split_indices(labels_all, seed)
-    mat, labels, state = preprocess(raw, fit_on=tr)
-    ds = DatasetSplit(
-        (mat.take(tr), labels.take(tr)),
-        (mat.take(va), labels.take(va)),
-        (mat.take(te), labels.take(te)),
-        seed,
-        indices=(tr, va, te),
-    )
-    return ds, state
+    indices = split_indices(_encode_target(target_col, _target_state(target_col)), seed)
+    mat, labels, state = preprocess(raw, fit_on=indices[0])
+    return DatasetSplit.from_indices(mat, labels, indices, seed), state
 
 
 # -- transfer-learning feature partition --------------------------------------

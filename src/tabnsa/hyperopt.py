@@ -25,17 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetSplit
-from .metrics import classification_report, regression_report
 from .model import ModelConfig, count_flops, count_params, init_model_params
 from .nsa_attention import NSAConfig
-from .training import (
-    NanLossError,
-    TrainConfig,
-    fit,
-    fit_lbfgs,
-    predict_proba,
-    predict_values,
-)
+from .training import NanLossError, TrainConfig, evaluation_report, fit, fit_lbfgs
 
 THREADS_ENV_VAR = "TABNSA_THREADS"
 
@@ -134,24 +126,21 @@ def derive_trial_seed(seed: int, trial_id: int) -> int:
 
 
 def _model_for(nsa: NSAConfig, split: DatasetSplit, template: ModelConfig | None) -> ModelConfig:
-    features = split.train[0].values.shape[1]
-    labels = split.train[1]
-    regression = labels.task == "regression"
     if template is None:
-        return ModelConfig(
-            nsa=nsa, num_tokens=features,
-            num_classes=1 if regression else labels.num_classes,
-            regression=regression,
-        )
-    return dataclasses.replace(
-        template, nsa=nsa, num_tokens=features,
-        num_classes=template.num_classes if regression else labels.num_classes,
-        regression=regression,
-    )
+        return ModelConfig(nsa=nsa, **split.model_shape())
+    return dataclasses.replace(template, nsa=nsa, **split.model_shape())
 
 
-def _fit_fn(cfg: TrainConfig):
-    return fit_lbfgs if cfg.optimizer == "lbfgs" else fit
+def fit_model(model_cfg: ModelConfig, split: DatasetSplit, train_cfg: TrainConfig, rng):
+    """Initialize parameters from `rng` (a Generator or an int seed) and fit
+    them with the optimizer train_cfg names; returns (params, TrainHistory).
+
+    `fit` and `fit_lbfgs` are looked up in this module at call time, so a
+    caller can substitute either one here.
+    """
+    params = init_model_params(model_cfg, rng)
+    fit_fn = fit_lbfgs if train_cfg.optimizer == "lbfgs" else fit
+    return fit_fn(params, model_cfg, split, train_cfg)
 
 
 def run_trial(
@@ -170,8 +159,7 @@ def run_trial(
     model_cfg = _model_for(nsa, split, model_template)
     start = time.perf_counter()
     try:
-        params = init_model_params(model_cfg, rng)
-        _, hist = _fit_fn(train_cfg)(params, model_cfg, split, train_cfg)
+        _, hist = fit_model(model_cfg, split, train_cfg, rng)
         metric = hist.val_metric[hist.best_epoch - 1] if hist.val_metric else 0.0
         if not np.isfinite(metric):
             metric = 0.0
@@ -288,15 +276,8 @@ def refit_best(
         optimizer=optimizer if optimizer is not None else train_cfg.optimizer,
     )
     model_cfg = _model_for(nsa, split, model_template)
-    params = init_model_params(model_cfg, np.random.default_rng(refit_seed))
-    params, hist = _fit_fn(train_cfg)(params, model_cfg, split, train_cfg)
-
-    x_test, y_test = split.test
-    if model_cfg.regression:
-        report = regression_report(predict_values(params, model_cfg, x_test.values), y_test.labels)
-    else:
-        probs = predict_proba(params, model_cfg, x_test.values)
-        report = classification_report(probs, y_test.labels, model_cfg.num_classes)
+    params, hist = fit_model(model_cfg, split, train_cfg, refit_seed)
+    report = evaluation_report(params, model_cfg, *split.test)
     total_flops, flop_breakdown = count_flops(model_cfg, batch_size=1)
     return {
         "config": {"model": model_cfg.to_dict(), "train": dataclasses.asdict(train_cfg)},

@@ -143,16 +143,9 @@ def init_model_params(config: ModelConfig, rng: np.random.Generator | int) -> di
     d = config.nsa.dim
     n = config.num_tokens
 
-    def u(fan_in, *shape):
-        bound = np.sqrt(1.0 / fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-    def z(*shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
-    params: dict[str, Tensor] = {"embed.weight": u(1, d), "embed.bias": z(d)}
+    params: dict[str, Tensor] = {"embed.weight": ad.uniform_leaf(rng, 1, d), "embed.bias": ad.zeros_leaf(d)}
     if config.feature_id_embedding:
-        params["feature_id"] = u(n, n, d)
+        params["feature_id"] = ad.uniform_leaf(rng, n, n, d)
     for i in range(config.num_blocks):
         p = f"blocks.{i}."
         for key, t in init_nsa_params(config.nsa, rng).items():
@@ -160,17 +153,17 @@ def init_model_params(config: ModelConfig, rng: np.random.Generator | int) -> di
         for key, t in init_tabmixer_params(n, d, rng).items():
             params[p + "mixer." + key] = t
         if config.fusion == "m":
-            params[p + "fuse.w1"] = u(d, d, d)
-            params[p + "fuse.b1"] = z(d)
-            params[p + "fuse.w2"] = u(d, d, d)
-            params[p + "fuse.b2"] = z(d)
+            params[p + "fuse.w1"] = ad.uniform_leaf(rng, d, d, d)
+            params[p + "fuse.b1"] = ad.zeros_leaf(d)
+            params[p + "fuse.w2"] = ad.uniform_leaf(rng, d, d, d)
+            params[p + "fuse.b2"] = ad.zeros_leaf(d)
         elif config.fusion == "c":
-            params[p + "fuse.w"] = u(2 * d, 2 * d, d)
-            params[p + "fuse.b"] = z(d)
-    params["head.w1"] = u(d, d, config.hidden_head)
-    params["head.b1"] = z(config.hidden_head)
-    params["head.w2"] = u(config.hidden_head, config.hidden_head, config.output_dim)
-    params["head.b2"] = z(config.output_dim)
+            params[p + "fuse.w"] = ad.uniform_leaf(rng, 2 * d, 2 * d, d)
+            params[p + "fuse.b"] = ad.zeros_leaf(d)
+    params["head.w1"] = ad.uniform_leaf(rng, d, d, config.hidden_head)
+    params["head.b1"] = ad.zeros_leaf(config.hidden_head)
+    params["head.w2"] = ad.uniform_leaf(rng, config.hidden_head, config.hidden_head, config.output_dim)
+    params["head.b2"] = ad.zeros_leaf(config.output_dim)
     return params
 
 

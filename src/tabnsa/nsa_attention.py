@@ -75,28 +75,21 @@ def init_nsa_params(cfg: NSAConfig, rng: np.random.Generator) -> dict[str, Tenso
     d, h, dh, l = cfg.dim, cfg.heads, cfg.head_dim, cfg.compress_block
     k = l * dh
 
-    def u(fan_in, *shape):
-        bound = np.sqrt(1.0 / fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
-    def z(*shape):
-        return Tensor(np.zeros(shape), requires_grad=True)
-
     params = {
-        "w_q": u(d, d, h * dh),
-        "w_k": u(d, d, h * dh),
-        "w_v": u(d, d, h * dh),
-        "w_o": u(h * dh, h * dh, d),
-        "b_o": z(d),
-        "gate_w": u(d, d, 3),
-        "gate_b": z(3),
+        "w_q": ad.uniform_leaf(rng, d, d, h * dh),
+        "w_k": ad.uniform_leaf(rng, d, d, h * dh),
+        "w_v": ad.uniform_leaf(rng, d, d, h * dh),
+        "w_o": ad.uniform_leaf(rng, h * dh, h * dh, d),
+        "b_o": ad.zeros_leaf(d),
+        "gate_w": ad.uniform_leaf(rng, d, d, 3),
+        "gate_b": ad.zeros_leaf(3),
     }
     for branch in ("k", "v"):
-        params[f"phi_{branch}_w1"] = u(k, h, k, k)
-        params[f"phi_{branch}_b1"] = z(h, 1, k)
-        params[f"phi_{branch}_w2"] = u(k, h, k, dh)
-        params[f"phi_{branch}_b2"] = z(h, 1, dh)
-        params[f"phi_{branch}_pos"] = u(dh, l, dh)
+        params[f"phi_{branch}_w1"] = ad.uniform_leaf(rng, k, h, k, k)
+        params[f"phi_{branch}_b1"] = ad.zeros_leaf(h, 1, k)
+        params[f"phi_{branch}_w2"] = ad.uniform_leaf(rng, k, h, k, dh)
+        params[f"phi_{branch}_b2"] = ad.zeros_leaf(h, 1, dh)
+        params[f"phi_{branch}_pos"] = ad.uniform_leaf(rng, dh, l, dh)
     return params
 
 

@@ -17,19 +17,15 @@ LN_EPS = 1e-5
 
 
 def init_tabmixer_params(n_tokens: int, dim: int, rng: np.random.Generator) -> dict[str, Tensor]:
-    def u(fan_in, *shape):
-        bound = np.sqrt(1.0 / fan_in)
-        return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-
     return {
-        "w1": u(n_tokens, n_tokens, n_tokens),
-        "b1": Tensor(np.zeros(n_tokens), requires_grad=True),
+        "w1": ad.uniform_leaf(rng, n_tokens, n_tokens, n_tokens),
+        "b1": ad.zeros_leaf(n_tokens),
         "ln1_scale": Tensor(np.ones(n_tokens), requires_grad=True),
-        "ln1_shift": Tensor(np.zeros(n_tokens), requires_grad=True),
-        "w2": u(dim, dim, dim),
-        "b2": Tensor(np.zeros(dim), requires_grad=True),
+        "ln1_shift": ad.zeros_leaf(n_tokens),
+        "w2": ad.uniform_leaf(rng, dim, dim, dim),
+        "b2": ad.zeros_leaf(dim),
         "ln2_scale": Tensor(np.ones(dim), requires_grad=True),
-        "ln2_shift": Tensor(np.zeros(dim), requires_grad=True),
+        "ln2_shift": ad.zeros_leaf(dim),
     }
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import metrics
 from .autodiff import Tensor
-from .data import DatasetSplit, LabelVector, class_weights
+from .data import DatasetSplit, FeatureMatrix, LabelVector, class_weights
 from .model import ModelConfig, forward
 
 OPTIMIZERS = ("adamw", "lbfgs")
@@ -267,6 +267,15 @@ def predict_values(params: dict, model_cfg: ModelConfig, x: np.ndarray) -> np.nd
     with ad.no_grad():
         out = forward(x, params, model_cfg)
     return out.data.reshape(-1)
+
+
+def evaluation_report(params: dict, model_cfg: ModelConfig, x: FeatureMatrix, labels: LabelVector):
+    """Score encoded rows against their labels: a regression report for a
+    regression model, else a classification report from class probabilities."""
+    if model_cfg.regression:
+        return metrics.regression_report(predict_values(params, model_cfg, x.values), labels.labels)
+    probs = predict_proba(params, model_cfg, x.values)
+    return metrics.classification_report(probs, labels.labels, model_cfg.num_classes)
 
 
 def evaluate_loss_metric(params, model_cfg, x, labels: LabelVector, weights):

@@ -30,6 +30,40 @@ def toy_csv(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def regression_csv(tmp_path_factory):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(60, 5))
+    y = x @ rng.normal(size=5) + 0.1 * rng.normal(size=60)
+    path = tmp_path_factory.mktemp("data") / "numeric.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(5)] + ["y"])
+        for row, target in zip(x, y):
+            writer.writerow([repr(float(v)) for v in row] + [repr(float(target))])
+    return str(path)
+
+
+def assert_same_artifacts(out1, out2):
+    """Every file matches byte for byte, except manifest timestamps and paths
+    and the per-trial wall_seconds timings."""
+    names = sorted(os.listdir(out1))
+    assert names == sorted(os.listdir(out2))
+    for name in names:
+        b1 = open(os.path.join(out1, name), "rb").read()
+        b2 = open(os.path.join(out2, name), "rb").read()
+        if name == "manifest.json":
+            m1, m2 = json.loads(b1), json.loads(b2)
+            for m in (m1, m2):
+                m.pop("started_at"), m.pop("finished_at"), m.pop("out_dir")
+            assert m1 == m2
+        elif name.startswith("trials") and name.endswith(".jsonl"):
+            untimed = [[dict(json.loads(line), wall_seconds=None) for line in b.splitlines()] for b in (b1, b2)]
+            assert untimed[0] == untimed[1], f"{name} differs between identical runs"
+        else:
+            assert b1 == b2, f"{name} differs between identical runs"
+
+
+@pytest.fixture(scope="module")
 def fast_config(tmp_path_factory, toy_csv):
     cfg = {
         "data": {"csv": toy_csv, "target": "label"},
@@ -148,18 +182,7 @@ class TestTrainCommand:
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["train", "--config", fast_config, "--out", out1, "--seeds", "0"]) == 0
         assert main(["train", "--config", fast_config, "--out", out2, "--seeds", "0"]) == 0
-        names = sorted(os.listdir(out1))
-        assert names == sorted(os.listdir(out2))
-        for name in names:
-            b1 = open(os.path.join(out1, name), "rb").read()
-            b2 = open(os.path.join(out2, name), "rb").read()
-            if name == "manifest.json":
-                m1, m2 = json.loads(b1), json.loads(b2)
-                for m in (m1, m2):
-                    m.pop("started_at"), m.pop("finished_at"), m.pop("out_dir")
-                assert m1 == m2
-            else:
-                assert b1 == b2, f"{name} differs between identical runs"
+        assert_same_artifacts(out1, out2)
 
     def test_checkpoint_round_trips_through_eval(self, fast_config, toy_csv, tmp_path, capsys):
         out = str(tmp_path / "run")
@@ -172,6 +195,36 @@ class TestTrainCommand:
         assert 0.0 <= payload["report"]["auc"] <= 1.0
         params, cfg = load_checkpoint(ckpt)
         assert cfg.num_tokens == 6
+
+    def test_numeric_target_reports_rmse_through_train_and_eval(self, regression_csv, tmp_path, capsys):
+        cfg = {
+            "data": {"csv": regression_csv, "target": "y"},
+            "model": {"nsa": {"heads": 2, "head_dim": 4}},
+            "train": {"max_epochs": 4, "patience": 2, "lr": 5e-3, "loss": "mse"},
+        }
+        cfg_path = tmp_path / "numeric.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", str(cfg_path), "--out", out, "--seeds", "0"]) == 0
+        capsys.readouterr()
+        test_report = json.load(open(os.path.join(out, "report_s0.json")))["test"]
+        assert main(["eval", "--checkpoint", os.path.join(out, "checkpoint_s0.bin"), "--csv", regression_csv]) == 0
+        eval_report = json.loads(capsys.readouterr().out.strip())["report"]
+        for report in (test_report, eval_report):
+            assert report["rmse"] is not None and report["rmse"] >= 0.0
+            assert report["auc"] is None
+        _, model_cfg = load_checkpoint(os.path.join(out, "checkpoint_s0.bin"))
+        assert model_cfg.regression and model_cfg.num_classes == 1
+
+    @pytest.mark.parametrize("field,value", [("num_tokens", 7), ("num_classes", 3), ("regression", True)])
+    def test_pinned_shape_must_match_the_data(self, fast_config, tmp_path, capsys, field, value):
+        cfg = json.load(open(fast_config))
+        cfg["model"][field] = value
+        cfg_path = tmp_path / "pinned.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"model.{field}" in capsys.readouterr().err
 
     def test_flag_overrides_reach_the_model(self, fast_config, tmp_path):
         out = str(tmp_path / "noids")
@@ -187,6 +240,30 @@ class TestTrainCommand:
         assert cfg.fusion == "c"
         assert cfg.feature_id_embedding is False
         assert cfg.nsa.causal is True
+
+
+class TestRerunIdentity:
+    """Every artifact-writing command reruns to the same bytes and stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        ["tune", "--budget", "2"],
+        ["eval"],
+        ["transfer", "--overlap", "0.5"],
+        ["ablate", "--what", "optimizer", "--seeds", "0"],
+        ["flops", "--compare-dense"],
+    ], ids=lambda argv: argv[0])
+    def test_rerun_is_byte_identical(self, argv, fast_config, tmp_path, capsys):
+        if argv[0] == "eval":
+            trained = str(tmp_path / "trained")
+            assert main(["train", "--config", fast_config, "--out", trained, "--seeds", "0"]) == 0
+            argv = argv + ["--checkpoint", os.path.join(trained, "checkpoint_s0.bin")]
+        capsys.readouterr()
+        outs, stdouts = [str(tmp_path / "a"), str(tmp_path / "b")], []
+        for out in outs:
+            assert main(argv + ["--config", fast_config, "--out", out]) == 0
+            stdouts.append(capsys.readouterr().out)
+        assert stdouts[0] == stdouts[1]
+        assert_same_artifacts(*outs)
 
 
 class TestTuneCommand:
