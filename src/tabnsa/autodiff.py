@@ -234,11 +234,28 @@ def matmul(a, b) -> Tensor:
     data = a.data @ b.data
 
     def vjp(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape)
-        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape)
+        ga = _matmul_to(g, b.data.swapaxes(-1, -2), a.data.shape)
+        gb = _matmul_to(a.data.swapaxes(-1, -2), g, b.data.shape)
         return ga, gb
 
     return _node(data, (a, b), vjp)
+
+
+def _matmul_to(x: np.ndarray, y: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """x @ y summed down to an operand's `shape`.
+
+    Leading batch axes that `shape` lacks are moved next to the contraction
+    axis and folded into it, so one batched GEMM does the sum and the
+    broadcast product is never materialised. Other broadcast patterns
+    (size-1 axes, unequal ranks) reduce the full product.
+    """
+    e = x.ndim - len(shape)
+    if e <= 0 or x.shape[:-2] != y.shape[:-2] or x.shape[e:-2] != shape[:-2]:
+        return _unbroadcast(x @ y, shape)
+    n = x.ndim
+    xf = x.transpose(*range(e, n - 1), *range(e), n - 1).reshape(*shape[:-1], -1)
+    yf = y.transpose(*range(e, n - 2), *range(e), n - 2, n - 1).reshape(*shape[:-2], -1, shape[-1])
+    return xf @ yf
 
 
 # -- elementwise nonlinearities ------------------------------------------
@@ -406,13 +423,8 @@ def gather_blocks(t, idx: np.ndarray) -> Tensor:
     B, H, N, Dh = t.data.shape
 
     def vjp(g):
-        out = np.zeros((B, H, N, Dh), dtype=np.float64)
-        bi = np.arange(B)[:, None, None, None, None]
-        hi = np.arange(H)[None, :, None, None, None]
-        ti = idx[None, None, :, :, None]
-        di = np.arange(Dh)[None, None, None, None, :]
-        np.add.at(out, (bi, hi, ti, di), g)
-        return (out,)
+        onehot = (np.arange(N)[:, None] == idx.reshape(-1)).astype(np.float64)  # (N, M*L)
+        return (onehot @ g.reshape(B, H, -1, Dh),)
 
     return _node(data, (t,), vjp)
 
@@ -425,16 +437,11 @@ def gather_selected(t, idx: np.ndarray) -> Tensor:
     """
     t = _ensure(t)
     idx = np.asarray(idx, dtype=np.intp)
-    data = np.take_along_axis(t.data[:, :, None, :, :], idx[:, None, :, :, None], axis=3)
     B, H, N, Dh = t.data.shape
+    data = t.data[np.arange(B)[:, None, None, None], np.arange(H)[None, :, None, None], idx[:, None]]
 
     def vjp(g):
-        out = np.zeros((B, H, N, Dh), dtype=np.float64)
-        bi = np.arange(B)[:, None, None, None, None]
-        hi = np.arange(H)[None, :, None, None, None]
-        ti = idx[:, None, :, :, None]
-        di = np.arange(Dh)[None, None, None, None, :]
-        np.add.at(out, (bi, hi, ti, di), g)
-        return (out,)
+        onehot = np.arange(N)[:, None] == idx.reshape(B, 1, 1, -1)  # (B, 1, N, T*S)
+        return (onehot.astype(np.float64) @ g.reshape(B, H, -1, Dh),)
 
     return _node(data, (t,), vjp)

@@ -22,6 +22,7 @@ FLOPs accounting conventions (forward pass only):
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -65,6 +66,9 @@ class ModelConfig:
             raise ValueError(f"unknown fusion variant {self.fusion!r}; expected one of {FUSION_VARIANTS}")
         if not self.regression and self.num_classes < 2:
             raise ValueError("classification needs num_classes >= 2")
+        n_eff = self.nsa.effective_selected(self.num_tokens)
+        if n_eff < self.nsa.num_selected:
+            warnings.warn(f"num_selected {self.nsa.num_selected} > {n_eff} selection blocks; clamping", stacklevel=3)
 
     @property
     def output_dim(self) -> int:
@@ -254,7 +258,7 @@ def count_flops(config: ModelConfig, batch_size: int) -> tuple[int, dict[str, in
     kk = l * dh
     m = nsa.n_compressed(n)
     n_slc = nsa.n_select_blocks(n)
-    s_sel = min(nsa.num_selected, n_slc) * nsa.select_block
+    s_sel = nsa.effective_selected(n) * nsa.select_block
     w_eff = min(nsa.window, n)
     blocks = config.num_blocks
     mac = MAC_FLOPS

@@ -12,7 +12,6 @@ Gate order convention everywhere: index 0 = compression, 1 = selection,
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +57,10 @@ class NSAConfig:
 
     def n_select_blocks(self, n_tokens: int) -> int:
         return -(-n_tokens // self.select_block)
+
+    def effective_selected(self, n_tokens: int) -> int:
+        """Blocks each query selects: num_selected, clamped to the blocks there are."""
+        return min(self.num_selected, self.n_select_blocks(n_tokens))
 
 
 @dataclass
@@ -207,15 +210,12 @@ def select_blocks(
     ascending order so token order is preserved. Returns
     (indices (B,1,N,n), k_slc, v_slc (B,H,N,n*l',Dh), token positions, token validity).
     """
-    b, _, n_q, n_slc = p_slc.shape
+    b, _, n_q, _ = p_slc.shape
     n_tokens = k.shape[2]
     scores = p_slc.mean(axis=1)  # (B, N, N_slc)
     if block_visible is not None:
         scores = np.where(block_visible, scores, -np.inf)
-    n_eff = cfg.num_selected
-    if n_eff > n_slc:
-        warnings.warn(f"num_selected {n_eff} > {n_slc} selection blocks; clamping")
-        n_eff = n_slc
+    n_eff = cfg.effective_selected(n_tokens)
     top = np.argsort(-scores, axis=-1, kind="stable")[..., :n_eff]
     blocks = np.sort(top, axis=-1)  # (B, N, n_eff)
     lp = cfg.select_block

@@ -110,6 +110,22 @@ class TestMatmulAndShape:
         check_grad(lambda t: (t @ Tensor(k)).sum(), q)
         check_grad(lambda t: (Tensor(q) @ t).sum(), k)
 
+    @pytest.mark.parametrize(
+        "a_shape,b_shape",
+        [
+            ((2, 3, 4, 5), (3, 5, 2)),  # per-head weights (B,H,M,K) @ (H,K,P)
+            ((2, 3, 4, 5), (5, 2)),  # 2-D weight under a 4-D input
+            ((3, 4, 5), (2, 3, 5, 2)),  # broadcast left operand (H,M,K) @ (B,H,K,P)
+            ((2, 1, 4, 5), (1, 3, 5, 2)),  # size-1 axes: reduces the full product
+        ],
+    )
+    def test_matmul_broadcast_patterns(self, a_shape, b_shape):
+        a = RNG.normal(size=a_shape)
+        b = RNG.normal(size=b_shape)
+        w = RNG.normal(size=np.broadcast_shapes(a_shape[:-2], b_shape[:-2]) + (a_shape[-2], b_shape[-1]))
+        check_grad(lambda t: ((t @ Tensor(b)) * Tensor(w)).sum(), a)
+        check_grad(lambda t: ((Tensor(a) @ t) * Tensor(w)).sum(), b)
+
     def test_matmul_rejects_1d(self):
         with pytest.raises(ValueError):
             Tensor(np.ones(3)) @ Tensor(np.ones((3, 2)))
@@ -194,6 +210,55 @@ class TestIndexing:
         npt.assert_array_equal(out[0, 1, 0, 0], t[0, 1, 4])
         npt.assert_array_equal(out[1, 2, 1, 2], t[1, 2, 4])
         check_grad(lambda x: (ad.gather_selected(x, idx) ** 2).sum(), t)
+
+
+def gather_selected_loop(t, idx):
+    b, h = t.shape[:2]
+    out = np.empty((b, h) + idx.shape[1:] + t.shape[3:])
+    for bi in range(b):
+        for hi in range(h):
+            for ti in range(idx.shape[1]):
+                for si in range(idx.shape[2]):
+                    out[bi, hi, ti, si] = t[bi, hi, idx[bi, ti, si]]
+    return out
+
+
+def scatter_add_at(shape, index, g):
+    out = np.zeros(shape)
+    np.add.at(out, index, g)
+    return out
+
+
+class TestGatherExactness:
+    @pytest.mark.parametrize("b,h,n,t,s,dh", [(1, 1, 5, 2, 3, 2), (1, 3, 7, 4, 6, 3), (4, 2, 15, 15, 4, 5)])
+    def test_gather_selected_forward_matches_loop(self, b, h, n, t, s, dh):
+        x = RNG.normal(size=(b, h, n, dh))
+        idx = RNG.integers(0, n, size=(b, t, s))
+        expect = gather_selected_loop(x, idx)
+        npt.assert_array_equal(ad.gather_selected(Tensor(x), idx).numpy(), expect)
+        with ad.no_grad():
+            npt.assert_array_equal(ad.gather_selected(Tensor(x, requires_grad=True), idx).numpy(), expect)
+
+    def test_gather_selected_vjp_matches_add_at(self):
+        b, h, n, dh = 3, 2, 9, 4
+        x = Tensor(RNG.normal(size=(b, h, n, dh)), requires_grad=True)
+        blocks = RNG.integers(0, 5, size=(b, n, 2))
+        idx = np.clip(blocks[..., None] * 2 + np.arange(2), 0, n - 1).reshape(b, n, 4)  # clipped tails repeat n-1
+        out = ad.gather_selected(x, idx)
+        g = RNG.normal(size=out.shape)
+        out.backward(g)
+        index = (np.arange(b)[:, None, None, None], np.arange(h)[None, :, None, None], idx[:, None])
+        npt.assert_allclose(x.grad, scatter_add_at(x.shape, index, g), rtol=1e-13)
+
+    def test_gather_blocks_vjp_matches_add_at(self):
+        b, h, n, dh = 3, 2, 15, 4
+        x = Tensor(RNG.normal(size=(b, h, n, dh)), requires_grad=True)
+        idx = np.arange(6)[:, None] * 2 + np.arange(4)  # overlapping strided windows
+        idx = np.vstack([idx, np.minimum(np.arange(n)[:, None] + np.arange(4), n - 1)])
+        out = ad.gather_blocks(x, idx)
+        g = RNG.normal(size=out.shape)
+        out.backward(g)
+        npt.assert_allclose(x.grad, scatter_add_at(x.shape, (slice(None), slice(None), idx), g), rtol=1e-13)
 
 
 class TestEngine:

@@ -1,11 +1,15 @@
-"""Every name a package module imports is used somewhere in that module."""
+"""Source checks by ast: every name a package module imports is used somewhere
+in that module, and the sparse-attention gathers stay off the slow numpy
+scatter and gather routines."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "tabnsa").glob("*.py"))
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tabnsa"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+SLOW_CALLS = {"np.add.at", "np.take_along_axis"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,3 +33,21 @@ def test_no_unused_imports(path):
 
 def test_checker_flags_an_unused_name():
     assert unused_imports("import os\nfrom a import b as c, d\nd()\n") == ["line 1: os", "line 2: c"]
+
+
+def dotted_calls(source: str, function: str) -> set[str]:
+    """Dotted names called anywhere inside the top-level function `function`."""
+    tree = ast.parse(source)
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return {ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)}
+
+
+@pytest.mark.parametrize("function", ["gather_blocks", "gather_selected"])
+def test_gathers_avoid_slow_numpy_calls(function):
+    calls = dotted_calls((PACKAGE / "autodiff.py").read_text(encoding="utf-8"), function)
+    assert not calls & SLOW_CALLS
+
+
+def test_call_finder_sees_nested_calls():
+    source = "def f(t):\n    def vjp(g):\n        np.add.at(t, 0, g)\n    return np.take_along_axis(t, i, 0)\n"
+    assert dotted_calls(source, "f") >= SLOW_CALLS

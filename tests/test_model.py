@@ -1,6 +1,7 @@
 """Model assembly tests: embedding, fusion variants, pooling, forward
 composition, parameter/FLOPs accounting, and checkpoint round trips."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -84,6 +85,13 @@ class TestConfig:
         cfg = mk_config(regression=True, num_classes=1)
         assert cfg.output_dim == 1
         assert mk_config(num_classes=7).output_dim == 7
+
+    def test_selection_clamp_warns_once_at_build(self):
+        with pytest.warns(UserWarning, match="clamping") as record:
+            cfg = mk_config(n_tokens=8, num_selected=9)  # 4 selection blocks of 2 tokens
+        assert len(record) == 1
+        assert cfg.nsa.effective_selected(cfg.num_tokens) == 4
+        assert count_flops(cfg, 3) == count_flops(mk_config(n_tokens=8, num_selected=4), 3)
 
     def test_dict_round_trip(self):
         cfg = mk_config(fusion="c", num_blocks=2, causal=True, regression=True, num_classes=1)
@@ -301,6 +309,22 @@ PARAM_CONFIGS = [
     mk_config(num_blocks=3, num_classes=5, hidden_head=11),
     mk_config(regression=True, num_classes=1, n_tokens=5, window=5),
 ]
+
+
+class TestBackwardMemory:
+    def test_search_corner_step_peak_is_bounded(self):
+        # largest search-space corner on the Credit-Approval shape: K = 16 * 46 = 736,
+        # so a (B, H, K, K) weight-gradient temporary alone would be 2.1 GiB
+        cfg = mk_config(n_tokens=15, dim=8 * 46, heads=8, compress_block=16, compress_stride=2, select_block=2)
+        params = init_model_params(cfg, np.random.default_rng(30))
+        x = np.random.default_rng(31).normal(size=(64, 15))
+        tracemalloc.start()
+        try:
+            forward(x, params, cfg).sum().backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**30, f"fwd+bwd peak {peak / 2**20:.0f} MiB"
 
 
 class TestParamCount:

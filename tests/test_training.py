@@ -1,7 +1,9 @@
 """Training tests: loss closed forms, optimizer update algebra, early
 stopping, the mini-batch driver, and the L-BFGS core on standard benchmarks."""
 
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +366,22 @@ class TestFitAdamW:
             fit_lbfgs(params, self.model_cfg, self.split, TrainConfig(optimizer="adamw"))
         with pytest.raises(ValueError):
             fit(params, self.model_cfg, self.split, TrainConfig(loss="mse"))
+
+    def test_clamped_selection_fits_silently_and_matches_explicit_count(self):
+        # 4 tokens in selection blocks of 2 leave 2 blocks, so num_selected 4 clamps to 2
+        explicit = tiny_model_config()
+        with pytest.warns(UserWarning, match="clamping"):
+            clamped = dataclasses.replace(explicit, nsa=dataclasses.replace(explicit.nsa, num_selected=4))
+        runs = []
+        for cfg in (explicit, clamped):
+            params = init_model_params(cfg, np.random.default_rng(16))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                runs.append(fit(params, cfg, self.split, TrainConfig(lr=5e-3, batch_size=16, max_epochs=3, seed=5)))
+        (p1, h1), (p2, h2) = runs
+        assert h1 == h2
+        for k in p1:
+            assert np.array_equal(p1[k].data, p2[k].data)
 
     def test_regression_fit_runs_and_improves(self):
         rng = np.random.default_rng(14)
