@@ -388,10 +388,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         writer.writerow(["trial_id", "val_metric", "best_so_far"])
         for rec, best_val in zip(sorted(records, key=lambda r: r.trial_id), curve):
             writer.writerow([rec.trial_id, f"{rec.val_metric:.6f}", f"{best_val:.6f}"])
-    report, params = refit_best(
-        best, split, model_template=template,
-        optimizer=getattr(args, "optimizer", None), seed=seed,
-    )
+    report, params = refit_best(best, split, model_template=template, seed=seed)
     model_cfg = ModelConfig.from_dict(report["config"]["model"])
     save_checkpoint(os.path.join(args.out, "checkpoint_best.bin"), params, model_cfg)
     with open(os.path.join(args.out, "preprocess.json"), "w", encoding="utf-8") as fh:
@@ -459,10 +456,7 @@ def cmd_transfer(args: argparse.Namespace) -> int:
         nsa = NSAConfig(**best.nsa)
         template_dst = build_model_config(cfg, split_dst)
         model_cfg = dataclasses.replace(template_dst, nsa=nsa)
-        train_cfg = TrainConfig(**best.train)
-        if getattr(args, "optimizer", None):
-            train_cfg = dataclasses.replace(train_cfg, optimizer=args.optimizer)
-        params, history = fit_model(model_cfg, split_dst, train_cfg, best.seed)
+        params, history = fit_model(model_cfg, split_dst, TrainConfig(**best.train), best.seed)
         report = evaluation_report(params, model_cfg, *split_dst.test)
         return {
             "tuned_nsa": best.nsa,

@@ -27,7 +27,7 @@ import numpy as np
 from .data import DatasetSplit
 from .model import ModelConfig, count_flops, count_params, init_model_params
 from .nsa_attention import NSAConfig
-from .training import NanLossError, TrainConfig, evaluation_report, fit, fit_lbfgs
+from .training import NanLossError, TrainConfig, evaluation_report, fit
 
 THREADS_ENV_VAR = "TABNSA_THREADS"
 
@@ -133,14 +133,21 @@ def _model_for(nsa: NSAConfig, split: DatasetSplit, template: ModelConfig | None
 
 def fit_model(model_cfg: ModelConfig, split: DatasetSplit, train_cfg: TrainConfig, rng):
     """Initialize parameters from `rng` (a Generator or an int seed) and fit
-    them with the optimizer train_cfg names; returns (params, TrainHistory).
+    them; returns (params, TrainHistory).
 
-    `fit` and `fit_lbfgs` are looked up in this module at call time, so a
-    caller can substitute either one here.
+    `fit` is looked up in this module at call time, so a caller can
+    substitute it here.
     """
-    params = init_model_params(model_cfg, rng)
-    fit_fn = fit_lbfgs if train_cfg.optimizer == "lbfgs" else fit
-    return fit_fn(params, model_cfg, split, train_cfg)
+    return fit(init_model_params(model_cfg, rng), model_cfg, split, train_cfg)
+
+
+def _draw_trial(trial_id: int, space: SearchSpace, seed: int, base_train: TrainConfig | None):
+    """A trial's config draw; the returned generator goes on to initialize
+    the trial's parameters."""
+    trial_seed = derive_trial_seed(seed, trial_id)
+    rng = np.random.default_rng(trial_seed)
+    nsa, train_cfg = sample_config(space, rng, base_train)
+    return rng, nsa, dataclasses.replace(train_cfg, seed=trial_seed)
 
 
 def run_trial(
@@ -152,10 +159,7 @@ def run_trial(
     base_train: TrainConfig | None = None,
 ) -> TrialRecord:
     """Sample, fit, and score one candidate; a diverging fit scores 0."""
-    trial_seed = derive_trial_seed(seed, trial_id)
-    rng = np.random.default_rng(trial_seed)
-    nsa, train_cfg = sample_config(space, rng, base_train)
-    train_cfg = dataclasses.replace(train_cfg, seed=trial_seed)
+    rng, nsa, train_cfg = _draw_trial(trial_id, space, seed, base_train)
     model_cfg = _model_for(nsa, split, model_template)
     start = time.perf_counter()
     try:
@@ -171,7 +175,7 @@ def run_trial(
         train=dataclasses.asdict(train_cfg),
         val_metric=float(metric),
         wall_seconds=time.perf_counter() - start,
-        seed=trial_seed,
+        seed=train_cfg.seed,
     )
 
 
@@ -216,19 +220,27 @@ def run_search(
 ):
     """Run `budget` independent trials and return (best record, all records).
 
-    Ties on the metric go to the earlier trial. Previously logged trials in
-    `log_path` whose stored seed matches the derived one are reused instead
-    of recomputed, so an interrupted search resumes where it stopped.
+    Ties on the metric go to the earlier trial. A trial logged in
+    `log_path` is reused instead of recomputed when this search draws the
+    same seed, architecture and training config for its id, so an
+    interrupted search resumes where it stopped and a changed one starts
+    over.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     if split.train[1].task != "classification":
         raise ValueError("search maximizes a classification metric; got a regression task")
+
+    def drawn_again(rec: TrialRecord) -> bool:
+        if not 0 <= rec.trial_id < budget:
+            return False
+        _, nsa, train_cfg = _draw_trial(rec.trial_id, space, seed, base_train)
+        drawn = (train_cfg.seed, dataclasses.asdict(nsa), dataclasses.asdict(train_cfg))
+        return (rec.seed, rec.nsa, rec.train) == drawn
+
     done: dict[int, TrialRecord] = {}
     if log_path and os.path.exists(log_path):
-        for rec in load_trial_log(log_path):
-            if 0 <= rec.trial_id < budget and rec.seed == derive_trial_seed(seed, rec.trial_id):
-                done[rec.trial_id] = rec
+        done = {rec.trial_id: rec for rec in load_trial_log(log_path) if drawn_again(rec)}
     pending = [t for t in range(budget) if t not in done]
 
     log_lock = threading.Lock()
@@ -258,7 +270,6 @@ def refit_best(
     record: TrialRecord,
     split: DatasetSplit,
     model_template: ModelConfig | None = None,
-    optimizer: str | None = None,
     seed: int = 0,
 ) -> tuple[dict, dict]:
     """Retrain the winning config from a fresh init and score the test split.
@@ -268,13 +279,8 @@ def refit_best(
     per-row forward FLOPs so the result is self-describing.
     """
     nsa = NSAConfig(**record.nsa)
-    train_cfg = TrainConfig(**record.train)
     refit_seed = derive_trial_seed(seed, -1)
-    train_cfg = dataclasses.replace(
-        train_cfg,
-        seed=refit_seed,
-        optimizer=optimizer if optimizer is not None else train_cfg.optimizer,
-    )
+    train_cfg = dataclasses.replace(TrainConfig(**record.train), seed=refit_seed)
     model_cfg = _model_for(nsa, split, model_template)
     params, hist = fit_model(model_cfg, split, train_cfg, refit_seed)
     report = evaluation_report(params, model_cfg, *split.test)

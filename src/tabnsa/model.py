@@ -241,6 +241,17 @@ def count_params(config: ModelConfig) -> int:
     return sum(int(np.prod(s)) for s in param_shapes(config).values())
 
 
+def _softmax_attention_flops(b: int, h: int, n: int, s: int, dh: int) -> int:
+    """Logits + scale + softmax + weighted value sum: b·h·n queries of width
+    dh, each over s visible keys."""
+    return (
+        MAC_FLOPS * b * h * n * s * dh
+        + b * h * n * s
+        + SOFTMAX_FLOPS_PER_ELEMENT * b * h * n * s
+        + MAC_FLOPS * b * h * n * dh * s
+    )
+
+
 def count_flops(config: ModelConfig, batch_size: int) -> tuple[int, dict[str, int]]:
     """Forward-pass FLOPs under the module's documented conventions.
 
@@ -262,7 +273,6 @@ def count_flops(config: ModelConfig, batch_size: int) -> tuple[int, dict[str, in
     w_eff = min(nsa.window, n)
     blocks = config.num_blocks
     mac = MAC_FLOPS
-    sm = SOFTMAX_FLOPS_PER_ELEMENT
     act = ACT_FLOPS_PER_ELEMENT
 
     comp: dict[str, int] = {}
@@ -277,14 +287,10 @@ def count_flops(config: ModelConfig, batch_size: int) -> tuple[int, dict[str, in
     phi += mac * b * h * m * dh * kk + b * h * m * dh
     comp["compression_phi"] = blocks * 2 * phi  # key and value compressors
 
-    def branch_attention(s: int) -> int:
-        # logits + scale + softmax + weighted value sum over s visible keys
-        return mac * b * h * n * s * dh + b * h * n * s + sm * b * h * n * s + mac * b * h * n * dh * s
-
-    comp["attention_compression"] = blocks * branch_attention(m)
+    comp["attention_compression"] = blocks * _softmax_attention_flops(b, h, n, m, dh)
     comp["selection_scoring"] = blocks * (mac * b * h * n * m * n_slc + b * n * n_slc * h)
-    comp["attention_selection"] = blocks * branch_attention(s_sel)
-    comp["attention_window"] = blocks * branch_attention(w_eff)
+    comp["attention_selection"] = blocks * _softmax_attention_flops(b, h, n, s_sel, dh)
+    comp["attention_window"] = blocks * _softmax_attention_flops(b, h, n, w_eff, dh)
     comp["gate_mlp"] = blocks * (mac * b * n * d * 3 + b * n * 3 + act * b * n * 3)
     comp["branch_combine"] = blocks * 5 * b * n * hd
     comp["output_proj"] = blocks * (mac * b * n * hd * d + b * n * d)
@@ -320,15 +326,8 @@ def dense_attention_flops(config: ModelConfig, batch_size: int) -> int:
     """Cost of full attention over all N keys per query, same conventions,
     summed over blocks. Comparison baseline for the sparse
     attention_computation rollup."""
-    nsa = config.nsa
-    b, n, h, dh = int(batch_size), config.num_tokens, nsa.heads, nsa.head_dim
-    per_block = (
-        MAC_FLOPS * b * h * n * n * dh
-        + b * h * n * n
-        + SOFTMAX_FLOPS_PER_ELEMENT * b * h * n * n
-        + MAC_FLOPS * b * h * n * dh * n
-    )
-    return config.num_blocks * per_block
+    nsa, n = config.nsa, config.num_tokens
+    return config.num_blocks * _softmax_attention_flops(int(batch_size), nsa.heads, n, n, nsa.head_dim)
 
 
 def save_checkpoint(path: str, params: dict[str, Tensor], config: ModelConfig) -> None:

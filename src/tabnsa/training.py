@@ -1,10 +1,12 @@
-"""Losses and trainers over the flat parameter-dict representation.
+"""Losses and the trainer over the flat parameter-dict representation.
 
-Two drivers share the early-stopping contract on validation loss: `fit`
-runs seeded shuffled mini-batches with AdamW (decoupled weight decay), and
-`fit_lbfgs` runs full-batch L-BFGS with two-loop recursion and Armijo
-backtracking. Both restore the best-validation-loss weights before
-returning. `lbfgs_minimize` is the generic vector minimizer underneath.
+`fit` is the one driver. It early-stops on validation loss and restores the
+best-validation-loss weights; between validations it runs epochs of the
+configured optimizer: a seeded shuffled mini-batch pass of AdamW (decoupled
+weight decay), or one accepted step of full-batch L-BFGS (two-loop
+recursion, Armijo backtracking). The target picks the loss: class-weighted
+cross-entropy for a label, MSE for a number. `lbfgs_minimize` is the generic
+vector minimizer underneath.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .data import DatasetSplit, FeatureMatrix, LabelVector, class_weights
 from .model import ModelConfig, forward
 
 OPTIMIZERS = ("adamw", "lbfgs")
-LOSSES = ("weighted_cross_entropy", "mse")
 
 # Curvature pairs whose s.y falls below this fraction of s.(B0 s) are damped
 # toward the scaled identity so the inverse-Hessian estimate stays positive
@@ -30,10 +31,16 @@ DAMPING_FLOOR = 1e-3
 
 
 class NanLossError(RuntimeError):
-    """Training aborted because a mini-batch loss went non-finite."""
+    """Training aborted because a mini-batch loss went non-finite, or, with
+    no batch index, because no epoch up to `epoch` had a finite validation
+    loss."""
 
-    def __init__(self, epoch: int, batch_index: int):
-        super().__init__(f"non-finite training loss at epoch {epoch}, batch {batch_index}")
+    def __init__(self, epoch: int, batch_index: int | None = None):
+        if batch_index is None:
+            message = f"non-finite validation loss in every epoch through epoch {epoch}"
+        else:
+            message = f"non-finite training loss at epoch {epoch}, batch {batch_index}"
+        super().__init__(message)
         self.epoch = epoch
         self.batch_index = batch_index
 
@@ -76,7 +83,6 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 200
     patience: int = 10
-    loss: str = "weighted_cross_entropy"
     seed: int = 0
     adamw: AdamWConfig = field(default_factory=AdamWConfig)
     lbfgs: LBFGSConfig = field(default_factory=LBFGSConfig)
@@ -98,8 +104,6 @@ class TrainConfig:
             raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}; expected one of {LOSSES}")
 
 
 @dataclass
@@ -238,12 +242,6 @@ class EarlyStopper:
 # -- shared fit plumbing ---------------------------------------------------------
 
 
-def _check_task(loss: str, labels: LabelVector) -> None:
-    want = "mse" if labels.task == "regression" else "weighted_cross_entropy"
-    if loss != want:
-        raise ValueError(f"loss {loss!r} does not fit task {labels.task!r}")
-
-
 def _loss_tensor(logits: Tensor, labels: LabelVector, rows, weights) -> Tensor:
     if labels.task == "regression":
         return mse_loss(logits, labels.labels[rows])
@@ -300,59 +298,6 @@ def evaluate_loss_metric(params, model_cfg, x, labels: LabelVector, weights):
     else:
         metric = metrics.macro_f1(z.argmax(axis=1), labels.labels, labels.num_classes)
     return loss, metric
-
-
-def _train_weights(labels: LabelVector, loss_kind: str):
-    if loss_kind == "weighted_cross_entropy":
-        return class_weights(labels)
-    return None
-
-
-# -- mini-batch AdamW driver -----------------------------------------------------
-
-
-def fit(params: dict, model_cfg: ModelConfig, split: DatasetSplit, cfg: TrainConfig):
-    """Seeded shuffled mini-batch training; returns (params, TrainHistory)
-    with the best-validation-loss weights restored in place."""
-    if cfg.optimizer != "adamw":
-        raise ValueError("fit drives adamw; use fit_lbfgs for the lbfgs optimizer")
-    x_tr, y_tr = split.train[0].values, split.train[1]
-    x_va, y_va = split.val[0].values, split.val[1]
-    _check_task(cfg.loss, y_tr)
-    weights = _train_weights(y_tr, cfg.loss)
-    opt = AdamW(params, cfg.lr, cfg.adamw)
-    stopper = EarlyStopper(cfg.patience)
-    rng = np.random.default_rng(cfg.seed)
-    n = x_tr.shape[0]
-    train_hist, val_hist, metric_hist = [], [], []
-    stopped = False
-    for epoch in range(1, cfg.max_epochs + 1):
-        perm = rng.permutation(n)
-        running = 0.0
-        for bi, start in enumerate(range(0, n, cfg.batch_size)):
-            rows = perm[start:start + cfg.batch_size]
-            try:
-                logits = forward(x_tr[rows], params, model_cfg)
-                loss = _loss_tensor(logits, y_tr, rows, weights)
-            except ValueError as err:
-                raise NanLossError(epoch, bi) from err
-            value = float(loss.item())
-            if not np.isfinite(value):
-                raise NanLossError(epoch, bi)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            running += value * rows.size
-        train_hist.append(running / n)
-        val_loss, val_metric = evaluate_loss_metric(params, model_cfg, x_va, y_va, weights)
-        val_hist.append(val_loss)
-        metric_hist.append(val_metric)
-        if stopper.update(epoch, val_loss, params):
-            stopped = True
-            break
-    stopper.restore(params)
-    history = TrainHistory(train_hist, val_hist, metric_hist, stopper.best_epoch, stopped)
-    return params, history
 
 
 # -- L-BFGS ----------------------------------------------------------------------
@@ -475,45 +420,69 @@ def _write_vec(params: dict, names: list, vec: np.ndarray) -> None:
         offset += size
 
 
-def fit_lbfgs(params: dict, model_cfg: ModelConfig, split: DatasetSplit, cfg: TrainConfig):
-    """Full-batch L-BFGS with the same early-stopping contract as fit().
-    Each accepted step counts as one epoch in the history."""
-    if cfg.optimizer != "lbfgs":
-        raise ValueError("fit_lbfgs drives lbfgs; use fit for the adamw optimizer")
-    x_tr, y_tr = split.train[0].values, split.train[1]
-    x_va, y_va = split.val[0].values, split.val[1]
-    _check_task(cfg.loss, y_tr)
-    weights = _train_weights(y_tr, cfg.loss)
+# -- the driver ------------------------------------------------------------------
+
+
+def _check_model_shape(model_cfg: ModelConfig, split: DatasetSplit) -> None:
+    derived = split.model_shape()
+    # regression first: a task mismatch also changes the output width
+    built = {
+        "regression": model_cfg.regression,
+        "num_tokens": model_cfg.num_tokens,
+        "num_classes": model_cfg.output_dim,
+    }
+    for name, value in built.items():
+        if value != derived[name]:
+            raise ValueError(f"model {name} is {value!r} but the training data needs {derived[name]!r}")
+
+
+def _adamw_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch) -> None:
+    """One seeded shuffled mini-batch pass per epoch."""
+    opt = AdamW(params, cfg.lr, cfg.adamw)
+    rng = np.random.default_rng(cfg.seed)
+    n = x.shape[0]
+    for epoch in range(1, cfg.max_epochs + 1):
+        perm = rng.permutation(n)
+        running = 0.0
+        for bi, start in enumerate(range(0, n, cfg.batch_size)):
+            rows = perm[start:start + cfg.batch_size]
+            try:
+                logits = forward(x[rows], params, model_cfg)
+                loss = _loss_tensor(logits, y, rows, weights)
+            except ValueError as err:
+                raise NanLossError(epoch, bi) from err
+            value = float(loss.item())
+            if not np.isfinite(value):
+                raise NanLossError(epoch, bi)
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            running += value * rows.size
+        if end_epoch(epoch, running / n):
+            return
+
+
+def _lbfgs_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch) -> None:
+    """One accepted full-batch L-BFGS step per epoch."""
     names = list(params)
-    rows = np.arange(x_tr.shape[0])
+    rows = np.arange(x.shape[0])
 
     def closure(vec):
         _write_vec(params, names, vec)
         for p in params.values():
             p.grad = None
         try:
-            logits = forward(x_tr, params, model_cfg)
-            loss = _loss_tensor(logits, y_tr, rows, weights)
+            logits = forward(x, params, model_cfg)
+            loss = _loss_tensor(logits, y, rows, weights)
         except ValueError:
             return np.inf, np.zeros_like(vec)  # poisoned probe; line search rejects it
         loss.backward()
         grad = np.concatenate([grad_or_zero(params[k]).ravel() for k in names])
         return float(loss.item()), grad
 
-    stopper = EarlyStopper(cfg.patience)
-    train_hist, val_hist, metric_hist = [], [], []
-    state = {"stopped": False}
-
     def on_step(step, vec, f):
         _write_vec(params, names, vec)
-        val_loss, val_metric = evaluate_loss_metric(params, model_cfg, x_va, y_va, weights)
-        train_hist.append(f)
-        val_hist.append(val_loss)
-        metric_hist.append(val_metric)
-        if stopper.update(step, val_loss, params):
-            state["stopped"] = True
-            return True
-        return False
+        return end_epoch(step, f)
 
     lbfgs_minimize(
         closure,
@@ -524,7 +493,32 @@ def fit_lbfgs(params: dict, model_cfg: ModelConfig, split: DatasetSplit, cfg: Tr
         max_line_search=cfg.lbfgs.max_line_search,
         callback=on_step,
     )
+
+
+def fit(params: dict, model_cfg: ModelConfig, split: DatasetSplit, cfg: TrainConfig):
+    """Train with `cfg.optimizer`, validating after each epoch; returns
+    (params, TrainHistory) with the best-validation-loss weights restored in
+    place. Training stops after `cfg.max_epochs` epochs, after `cfg.patience`
+    epochs without strict improvement, or when L-BFGS stops accepting steps."""
+    _check_model_shape(model_cfg, split)
+    x_tr, y_tr = split.train[0].values, split.train[1]
+    x_va, y_va = split.val[0].values, split.val[1]
+    weights = class_weights(y_tr) if y_tr.task == "classification" else None
+    stopper = EarlyStopper(cfg.patience)
+    train_hist, val_hist, metric_hist = [], [], []
+
+    def end_epoch(epoch: int, train_loss: float) -> bool:
+        """Validate the weights after `epoch`; True means stop."""
+        val_loss, val_metric = evaluate_loss_metric(params, model_cfg, x_va, y_va, weights)
+        train_hist.append(train_loss)
+        val_hist.append(val_loss)
+        metric_hist.append(val_metric)
+        return stopper.update(epoch, val_loss, params)
+
+    run_epochs = _lbfgs_epochs if cfg.optimizer == "lbfgs" else _adamw_epochs
+    run_epochs(params, model_cfg, x_tr, y_tr, weights, cfg, end_epoch)
+    if train_hist and stopper.best_epoch == 0:
+        raise NanLossError(len(train_hist))
     stopper.restore(params)
-    best = stopper.best_epoch if train_hist else 0
-    history = TrainHistory(train_hist, val_hist, metric_hist, best, state["stopped"])
-    return params, history
+    stopped = stopper.bad_epochs >= cfg.patience
+    return params, TrainHistory(train_hist, val_hist, metric_hist, stopper.best_epoch, stopped)

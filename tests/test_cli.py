@@ -109,6 +109,15 @@ class TestConfigMachinery:
         with pytest.raises(ConfigError):
             load_config(str(p))
 
+    def test_readme_example_lists_every_default_field(self):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+        example = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        for path in ((), ("data",), ("model",), ("model", "nsa"), ("train",), ("train", "adamw"), ("train", "lbfgs")):
+            documented, default = example, default_config()
+            for key in path:
+                documented, default = documented[key], default[key]
+            assert set(documented) == set(default), path
+
     def test_nsa_stride_null_becomes_common_divisor(self):
         nsa = default_config()["model"]["nsa"]
         nsa.update({"compress_block": 6, "select_block": 4, "compress_stride": None})
@@ -156,6 +165,12 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_removed_loss_field_is_unknown(self, tmp_path, capsys):
+        p = tmp_path / "old.json"
+        p.write_text('{"train": {"loss": "mse"}}')
+        assert main(["flops", "--config", str(p)]) == 2
+        assert "train.loss: unknown config field" in capsys.readouterr().err
+
     def test_bad_seed_list(self, fast_config, tmp_path, capsys):
         code = main(["train", "--config", fast_config, "--out", str(tmp_path / "o"), "--seeds", "9..1"])
         assert code == 2
@@ -200,7 +215,7 @@ class TestTrainCommand:
         cfg = {
             "data": {"csv": regression_csv, "target": "y"},
             "model": {"nsa": {"heads": 2, "head_dim": 4}},
-            "train": {"max_epochs": 4, "patience": 2, "lr": 5e-3, "loss": "mse"},
+            "train": {"max_epochs": 4, "patience": 2, "lr": 5e-3},
         }
         cfg_path = tmp_path / "numeric.json"
         cfg_path.write_text(json.dumps(cfg))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import tabnsa.hyperopt as hyperopt
+import tabnsa.training as training
 from tabnsa.data import make_two_gaussians
 from tabnsa.hyperopt import (
     SearchSpace,
@@ -158,10 +159,9 @@ class TestRunSearch:
 
     def test_ties_go_to_earlier_trial_and_log_resume(self, gaussian_split, tmp_path):
         log = tmp_path / "trials.jsonl"
-        with open(log, "w") as fh:
-            for tid in range(3):
-                rec = TrialRecord(tid, {}, {}, 0.5, 0.0, derive_trial_seed(8, tid))
-                fh.write(rec.to_json() + "\n")
+        run_search(gaussian_split, NARROW_SPACE, 3, seed=8, base_train=FAST_TRAIN, log_path=str(log))
+        tied = [dataclasses.replace(rec, val_metric=0.5) for rec in load_trial_log(str(log))]
+        log.write_text("".join(rec.to_json() + "\n" for rec in tied))
         best, records = run_search(
             gaussian_split, NARROW_SPACE, 3, seed=8, base_train=FAST_TRAIN, log_path=str(log)
         )
@@ -190,6 +190,16 @@ class TestRunSearch:
         assert [untimed(r) for r in resumed] == [untimed(r) for r in first]
         assert len(load_trial_log(str(log))) == 4
 
+    def test_changed_search_config_recomputes_logged_trials(self, gaussian_split, tmp_path):
+        log = str(tmp_path / "trials.jsonl")
+        first_space = dataclasses.replace(NARROW_SPACE, heads=(1, 1), head_dim=(8, 8))
+        second_space = dataclasses.replace(NARROW_SPACE, heads=(2, 2), head_dim=(9, 9))
+        run_search(gaussian_split, first_space, 2, seed=3, base_train=TrainConfig(max_epochs=2), log_path=log)
+        _, records = run_search(gaussian_split, second_space, 2, seed=3, base_train=TrainConfig(max_epochs=5), log_path=log)
+        drawn = [(r.nsa["heads"], r.nsa["head_dim"], r.train["max_epochs"]) for r in records]
+        assert drawn == [(2, 9, 5), (2, 9, 5)]
+        assert len(load_trial_log(log)) == 4
+
     def test_stale_log_entries_are_ignored(self, gaussian_split, tmp_path):
         log = tmp_path / "trials.jsonl"
         with open(log, "w") as fh:
@@ -209,6 +219,11 @@ class TestRunSearch:
         best, records = run_search(gaussian_split, NARROW_SPACE, 3, seed=11, base_train=FAST_TRAIN)
         assert records[1].val_metric == 0.0
         assert best.trial_id != 1
+
+    def test_non_finite_validation_scores_zero(self, gaussian_split, monkeypatch):
+        monkeypatch.setattr(training, "evaluate_loss_metric", lambda *a: (np.inf, float("nan")))
+        rec = run_trial(0, gaussian_split, NARROW_SPACE, seed=4, base_train=FAST_TRAIN)
+        assert rec.val_metric == 0.0
 
     def test_no_test_access_during_search(self, gaussian_split):
         before = gaussian_split.test_access_count
@@ -261,11 +276,3 @@ class TestRefitBest:
         for k in p1:
             assert np.array_equal(p1[k].data, p2[k].data)
 
-    def test_optimizer_override(self, gaussian_split):
-        best, _ = run_search(gaussian_split, NARROW_SPACE, 1, seed=17, base_train=FAST_TRAIN)
-        report, _ = refit_best(
-            best, gaussian_split,
-            optimizer="lbfgs", seed=3,
-        )
-        assert report["config"]["train"]["optimizer"] == "lbfgs"
-        assert report["test"]["macro_f1"] is not None

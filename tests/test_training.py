@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tabnsa import training
 from tabnsa.autodiff import Tensor
 from tabnsa.data import DatasetSplit, FeatureMatrix, LabelVector, make_two_gaussians
 from tabnsa.model import ModelConfig, forward, init_model_params
@@ -23,7 +24,6 @@ from tabnsa.training import (
     _two_loop,
     evaluate_loss_metric,
     fit,
-    fit_lbfgs,
     grad_or_zero,
     lbfgs_minimize,
     mse_loss,
@@ -252,8 +252,6 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(optimizer="sgd")
         with pytest.raises(ValueError):
-            TrainConfig(loss="hinge")
-        with pytest.raises(ValueError):
             LBFGSConfig(history=-1)
 
     def test_history_validation_and_jsonl(self):
@@ -358,14 +356,34 @@ class TestFitAdamW:
         if hist.stopped_early:
             assert len(hist.val_loss) == hist.best_epoch + 3
 
-    def test_optimizer_and_task_mismatches_rejected(self):
+    def test_model_shape_mismatch_rejected(self):
+        # a classification model on numeric labels names the field before any
+        # step, instead of failing the first loss as a NanLossError
+        rng = np.random.default_rng(13)
+        reg_split = make_split(rng.normal(size=(40, 4)), rng.normal(size=40), task="regression")
+        three_way = dataclasses.replace(self.model_cfg, num_classes=3)
         params = init_model_params(self.model_cfg, np.random.default_rng(13))
-        with pytest.raises(ValueError):
-            fit(params, self.model_cfg, self.split, TrainConfig(optimizer="lbfgs"))
-        with pytest.raises(ValueError):
-            fit_lbfgs(params, self.model_cfg, self.split, TrainConfig(optimizer="adamw"))
-        with pytest.raises(ValueError):
-            fit(params, self.model_cfg, self.split, TrainConfig(loss="mse"))
+        before = {k: p.data.copy() for k, p in params.items()}
+        for optimizer in ("adamw", "lbfgs"):
+            train_cfg = TrainConfig(optimizer=optimizer, max_epochs=2)
+            with pytest.raises(ValueError, match="regression"):
+                fit(params, self.model_cfg, reg_split, train_cfg)
+            with pytest.raises(ValueError, match="num_tokens"):
+                fit(params, tiny_model_config(n_tokens=5), self.split, train_cfg)
+            with pytest.raises(ValueError, match="num_classes"):
+                fit(init_model_params(three_way, np.random.default_rng(13)), three_way, self.split, train_cfg)
+        for k, p in params.items():
+            assert np.array_equal(p.data, before[k])
+
+    @pytest.mark.parametrize("optimizer", ["adamw", "lbfgs"])
+    def test_no_finite_validation_loss_raises_nan_loss(self, optimizer, monkeypatch):
+        monkeypatch.setattr(training, "evaluate_loss_metric", lambda *a: (np.inf, float("nan")))
+        params = init_model_params(self.model_cfg, np.random.default_rng(17))
+        cfg = TrainConfig(optimizer=optimizer, lr=5e-3, max_epochs=6, patience=2, seed=3)
+        with pytest.raises(NanLossError, match="validation loss") as err:
+            fit(params, self.model_cfg, self.split, cfg)
+        assert err.value.epoch == 2  # patience ran out after two non-finite epochs
+        assert err.value.batch_index is None
 
     def test_clamped_selection_fits_silently_and_matches_explicit_count(self):
         # 4 tokens in selection blocks of 2 leave 2 blocks, so num_selected 4 clamps to 2
@@ -390,7 +408,7 @@ class TestFitAdamW:
         split = make_split(x, y, task="regression")
         cfg = tiny_model_config(regression=True)
         params = init_model_params(cfg, np.random.default_rng(15))
-        _, hist = fit(params, cfg, split, TrainConfig(loss="mse", lr=5e-3, batch_size=16, max_epochs=15, patience=15, seed=4))
+        _, hist = fit(params, cfg, split, TrainConfig(lr=5e-3, batch_size=16, max_epochs=15, patience=15, seed=4))
         assert hist.train_loss[-1] < hist.train_loss[0]
         assert np.isfinite(hist.val_metric[-1])  # rmse recorded
 
@@ -479,12 +497,14 @@ class TestLBFGSMinimize:
 
 
 class TestFitLBFGS:
+    """`fit` with the lbfgs optimizer: one accepted step per epoch."""
+
     def test_full_batch_training_improves(self):
         x, y = make_two_gaussians(70, 4, seed=17)
         split = make_split(x, y)
         cfg = tiny_model_config()
         params = init_model_params(cfg, np.random.default_rng(18))
-        _, hist = fit_lbfgs(
+        _, hist = fit(
             params, cfg, split,
             TrainConfig(optimizer="lbfgs", max_epochs=30, patience=10, seed=5),
         )
@@ -499,7 +519,7 @@ class TestFitLBFGS:
         runs = []
         for _ in range(2):
             params = init_model_params(cfg, np.random.default_rng(20))
-            _, hist = fit_lbfgs(params, cfg, split, TrainConfig(optimizer="lbfgs", max_epochs=10, seed=6))
+            _, hist = fit(params, cfg, split, TrainConfig(optimizer="lbfgs", max_epochs=10, seed=6))
             runs.append((hist.train_loss, {k: p.data.copy() for k, p in params.items()}))
         assert runs[0][0] == runs[1][0]
         for k in runs[0][1]:
