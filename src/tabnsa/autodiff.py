@@ -163,15 +163,23 @@ class Tensor:
         return swapaxes(self, a, b)
 
 
-def uniform_leaf(rng: np.random.Generator, fan_in: int, *shape: int) -> Tensor:
-    """Trainable leaf drawn from Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in))."""
-    bound = np.sqrt(1.0 / fan_in)
-    return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
+def make_leaves(specs: dict, rng: np.random.Generator | int) -> dict[str, Tensor]:
+    """Trainable leaves from a `name -> (shape, init)` spec, in spec order.
 
-
-def zeros_leaf(*shape: int) -> Tensor:
-    """Trainable leaf of zeros."""
-    return Tensor(np.zeros(shape), requires_grad=True)
+    A float `init` fills the leaf with that constant. Any other `init` is a
+    fan-in: the leaf is drawn from Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)),
+    so only those entries consume draws from `rng` (a Generator or a seed).
+    """
+    rng = np.random.default_rng(rng)
+    leaves = {}
+    for name, (shape, init) in specs.items():
+        if isinstance(init, float):
+            data = np.full(shape, init)
+        else:
+            bound = np.sqrt(1.0 / init)
+            data = rng.uniform(-bound, bound, size=shape)
+        leaves[name] = Tensor(data, requires_grad=True)
+    return leaves
 
 
 def _ensure(x) -> Tensor:

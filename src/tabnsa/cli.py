@@ -388,19 +388,20 @@ def cmd_tune(args: argparse.Namespace) -> int:
         writer.writerow(["trial_id", "val_metric", "best_so_far"])
         for rec, best_val in zip(sorted(records, key=lambda r: r.trial_id), curve):
             writer.writerow([rec.trial_id, f"{rec.val_metric:.6f}", f"{best_val:.6f}"])
-    report, params = refit_best(best, split, model_template=template, seed=seed)
+    report, params = refit_best(best, split, seed=seed)
     model_cfg = ModelConfig.from_dict(report["config"]["model"])
     save_checkpoint(os.path.join(args.out, "checkpoint_best.bin"), params, model_cfg)
     with open(os.path.join(args.out, "preprocess.json"), "w", encoding="utf-8") as fh:
         fh.write(state.to_json() + "\n")
     best_cfg = json.loads(json.dumps(cfg))
-    nsa_dict = dict(best.nsa)
+    nsa_dict = dict(best.model["nsa"])
     nsa_dict.pop("dim", None)
     best_cfg["model"]["nsa"] = nsa_dict
     best_cfg["train"] = report["config"]["train"]
     _write_json(os.path.join(args.out, "best_config.json"), best_cfg)
     _write_json(os.path.join(args.out, "refit_report.json"), report)
-    _write_manifest(args.out, "tune", cfg, [seed], started, extra={"budget": budget})
+    extra = {"budget": budget, "trial_wall_seconds": [rec.wall_seconds for rec in records]}
+    _write_manifest(args.out, "tune", cfg, [seed], started, extra=extra)
     _print_json({"best_trial": best.trial_id, "val_metric": best.val_metric, "test": report["test"]})
     return 0
 
@@ -443,23 +444,25 @@ def cmd_transfer(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     set1, set2 = transfer_split(raw, args.overlap, seed)
     shared = sorted(set(c.name for c in set1.feature_columns) & set(c.name for c in set2.feature_columns))
+    trial_wall_seconds = {}
 
     def direction(src, dst, label: str) -> dict:
         split_src, _ = prepare_dataset(src, seed)
         template_src = build_model_config(cfg, split_src)
-        best, _records = run_search(
+        best, records = run_search(
             split_src, space, budget, seed,
             model_template=template_src, base_train=base_train,
             log_path=os.path.join(args.out, f"trials_{label}.jsonl"),
         )
+        trial_wall_seconds[label] = [rec.wall_seconds for rec in records]
         split_dst, _state = prepare_dataset(dst, seed)
-        nsa = NSAConfig(**best.nsa)
+        nsa = NSAConfig(**best.model["nsa"])
         template_dst = build_model_config(cfg, split_dst)
         model_cfg = dataclasses.replace(template_dst, nsa=nsa)
         params, history = fit_model(model_cfg, split_dst, TrainConfig(**best.train), best.seed)
         report = evaluation_report(params, model_cfg, *split_dst.test)
         return {
-            "tuned_nsa": best.nsa,
+            "tuned_nsa": best.model["nsa"],
             "applied_nsa": dataclasses.asdict(model_cfg.nsa),
             "tuned_val_metric": best.val_metric,
             "best_trial": best.trial_id,
@@ -481,7 +484,8 @@ def cmd_transfer(args: argparse.Namespace) -> int:
         "set2_to_set1": backward,
     }
     _write_json(os.path.join(args.out, "transfer.json"), result)
-    _write_manifest(args.out, "transfer", cfg, [seed], started, extra={"overlap": args.overlap})
+    extra = {"overlap": args.overlap, "trial_wall_seconds": trial_wall_seconds}
+    _write_manifest(args.out, "transfer", cfg, [seed], started, extra=extra)
     _print_json({"set1_to_set2": forward["test"], "set2_to_set1": backward["test"]})
     return 0
 

@@ -100,35 +100,38 @@ def sample_config(space: SearchSpace, rng: np.random.Generator, base_train: Trai
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One scored trial. `model` is the `ModelConfig.to_dict()` it trained.
+    `wall_seconds` is this process's timing of the trial, None for a record
+    read back from a log; the log holds only the deterministic fields."""
+
     trial_id: int
-    nsa: dict
+    model: dict
     train: dict
     val_metric: float
-    wall_seconds: float
     seed: int
+    wall_seconds: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.val_metric <= 1.0:
             raise ValueError(f"val_metric {self.val_metric} outside [0, 1]")
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+        record = dataclasses.asdict(self)
+        del record["wall_seconds"]
+        return json.dumps(record, sort_keys=True)
 
     @classmethod
-    def from_json(cls, line: str) -> "TrialRecord":
-        return cls(**json.loads(line))
+    def from_json(cls, line: str) -> "TrialRecord | None":
+        """The record a log line holds, or None for a line in another format."""
+        record = json.loads(line)
+        logged = {f.name for f in dataclasses.fields(cls)} - {"wall_seconds"}
+        return cls(**record) if set(record) == logged else None
 
 
 def derive_trial_seed(seed: int, trial_id: int) -> int:
     """Stable 63-bit seed for one trial; never uses process-salted hashing."""
     digest = hashlib.sha256(f"trial:{seed}:{trial_id}".encode()).digest()
     return int.from_bytes(digest[:8], "little") >> 1
-
-
-def _model_for(nsa: NSAConfig, split: DatasetSplit, template: ModelConfig | None) -> ModelConfig:
-    if template is None:
-        return ModelConfig(nsa=nsa, **split.model_shape())
-    return dataclasses.replace(template, nsa=nsa, **split.model_shape())
 
 
 def fit_model(model_cfg: ModelConfig, split: DatasetSplit, train_cfg: TrainConfig, rng):
@@ -141,13 +144,25 @@ def fit_model(model_cfg: ModelConfig, split: DatasetSplit, train_cfg: TrainConfi
     return fit(init_model_params(model_cfg, rng), model_cfg, split, train_cfg)
 
 
-def _draw_trial(trial_id: int, space: SearchSpace, seed: int, base_train: TrainConfig | None):
-    """A trial's config draw; the returned generator goes on to initialize
-    the trial's parameters."""
+def _draw_trial(
+    trial_id: int,
+    split: DatasetSplit,
+    space: SearchSpace,
+    seed: int,
+    model_template: ModelConfig | None,
+    base_train: TrainConfig | None,
+):
+    """A trial's (rng, ModelConfig, TrainConfig): the drawn attention config
+    in `model_template` (or default model fields) at the split's shape. The
+    returned generator goes on to initialize the trial's parameters."""
     trial_seed = derive_trial_seed(seed, trial_id)
     rng = np.random.default_rng(trial_seed)
     nsa, train_cfg = sample_config(space, rng, base_train)
-    return rng, nsa, dataclasses.replace(train_cfg, seed=trial_seed)
+    if model_template is None:
+        model_cfg = ModelConfig(nsa=nsa, **split.model_shape())
+    else:
+        model_cfg = dataclasses.replace(model_template, nsa=nsa, **split.model_shape())
+    return rng, model_cfg, dataclasses.replace(train_cfg, seed=trial_seed)
 
 
 def run_trial(
@@ -159,8 +174,7 @@ def run_trial(
     base_train: TrainConfig | None = None,
 ) -> TrialRecord:
     """Sample, fit, and score one candidate; a diverging fit scores 0."""
-    rng, nsa, train_cfg = _draw_trial(trial_id, space, seed, base_train)
-    model_cfg = _model_for(nsa, split, model_template)
+    rng, model_cfg, train_cfg = _draw_trial(trial_id, split, space, seed, model_template, base_train)
     start = time.perf_counter()
     try:
         _, hist = fit_model(model_cfg, split, train_cfg, rng)
@@ -171,22 +185,19 @@ def run_trial(
         metric = 0.0
     return TrialRecord(
         trial_id=trial_id,
-        nsa=dataclasses.asdict(nsa),
+        model=model_cfg.to_dict(),
         train=dataclasses.asdict(train_cfg),
         val_metric=float(metric),
-        wall_seconds=time.perf_counter() - start,
         seed=train_cfg.seed,
+        wall_seconds=time.perf_counter() - start,
     )
 
 
 def load_trial_log(path: str) -> list[TrialRecord]:
-    records = []
+    """The log's records; lines in another record format are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(TrialRecord.from_json(line))
-    return records
+        records = [TrialRecord.from_json(line) for line in fh if line.strip()]
+    return [rec for rec in records if rec is not None]
 
 
 def best_so_far_curve(records: list[TrialRecord]) -> list[float]:
@@ -222,7 +233,7 @@ def run_search(
 
     Ties on the metric go to the earlier trial. A trial logged in
     `log_path` is reused instead of recomputed when this search draws the
-    same seed, architecture and training config for its id, so an
+    same seed, model config and training config for its id, so an
     interrupted search resumes where it stopped and a changed one starts
     over.
     """
@@ -234,9 +245,9 @@ def run_search(
     def drawn_again(rec: TrialRecord) -> bool:
         if not 0 <= rec.trial_id < budget:
             return False
-        _, nsa, train_cfg = _draw_trial(rec.trial_id, space, seed, base_train)
-        drawn = (train_cfg.seed, dataclasses.asdict(nsa), dataclasses.asdict(train_cfg))
-        return (rec.seed, rec.nsa, rec.train) == drawn
+        _, model_cfg, train_cfg = _draw_trial(rec.trial_id, split, space, seed, model_template, base_train)
+        drawn = (train_cfg.seed, model_cfg.to_dict(), dataclasses.asdict(train_cfg))
+        return (rec.seed, rec.model, rec.train) == drawn
 
     done: dict[int, TrialRecord] = {}
     if log_path and os.path.exists(log_path):
@@ -269,7 +280,6 @@ def run_search(
 def refit_best(
     record: TrialRecord,
     split: DatasetSplit,
-    model_template: ModelConfig | None = None,
     seed: int = 0,
 ) -> tuple[dict, dict]:
     """Retrain the winning config from a fresh init and score the test split.
@@ -278,10 +288,9 @@ def refit_best(
     params); the report carries the evaluated config, parameter count, and
     per-row forward FLOPs so the result is self-describing.
     """
-    nsa = NSAConfig(**record.nsa)
     refit_seed = derive_trial_seed(seed, -1)
     train_cfg = dataclasses.replace(TrainConfig(**record.train), seed=refit_seed)
-    model_cfg = _model_for(nsa, split, model_template)
+    model_cfg = ModelConfig.from_dict(record.model)
     params, hist = fit_model(model_cfg, split, train_cfg, refit_seed)
     report = evaluation_report(params, model_cfg, *split.test)
     total_flops, flop_breakdown = count_flops(model_cfg, batch_size=1)

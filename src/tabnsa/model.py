@@ -3,9 +3,9 @@ choice of fusion, mean pooling, and a small MLP head.
 
 Every trainable tensor lives in one flat dict keyed by a stable dotted path
 ("blocks.0.nsa.w_q", "head.b2", ...) so gradient checks, optimizers, and
-serialization address parameters uniformly. `param_shapes` is the
-closed-form manifest of those paths; `init_model_params` must produce
-exactly the same paths and shapes.
+serialization address parameters uniformly. `param_specs` states each
+path's shape and initializer once; initialization, the `param_shapes`
+manifest, parameter counts and checkpoint loading all read it.
 
 FLOPs accounting conventions (forward pass only):
   - multiply-accumulate = 2 FLOPs; a matmul costs 2 * output elements *
@@ -24,13 +24,14 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nsa_attention import NSAConfig, init_nsa_params, nsa_forward
-from .tabmixer import init_tabmixer_params, tabmixer_forward
+from .nsa_attention import NSAConfig, nsa_forward, nsa_param_specs
+from .tabmixer import tabmixer_forward, tabmixer_param_specs
 
 FUSION_VARIANTS = ("o", "m", "c", "r")
 CHECKPOINT_VERSION = 1
@@ -89,86 +90,45 @@ def _subview(params: dict, prefix: str) -> dict:
     return {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
 
 
-def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Closed-form path -> shape manifest, in serialization order."""
-    d, h, dh = config.nsa.dim, config.nsa.heads, config.nsa.head_dim
-    l = config.nsa.compress_block
-    k = l * dh
-    n = config.num_tokens
-    shapes: dict[str, tuple[int, ...]] = {"embed.weight": (d,), "embed.bias": (d,)}
-    if config.feature_id_embedding:
-        shapes["feature_id"] = (n, d)
-    for i in range(config.num_blocks):
-        p = f"blocks.{i}."
-        shapes[p + "nsa.w_q"] = (d, h * dh)
-        shapes[p + "nsa.w_k"] = (d, h * dh)
-        shapes[p + "nsa.w_v"] = (d, h * dh)
-        shapes[p + "nsa.w_o"] = (h * dh, d)
-        shapes[p + "nsa.b_o"] = (d,)
-        shapes[p + "nsa.gate_w"] = (d, 3)
-        shapes[p + "nsa.gate_b"] = (3,)
-        for branch in ("k", "v"):
-            shapes[p + f"nsa.phi_{branch}_w1"] = (h, k, k)
-            shapes[p + f"nsa.phi_{branch}_b1"] = (h, 1, k)
-            shapes[p + f"nsa.phi_{branch}_w2"] = (h, k, dh)
-            shapes[p + f"nsa.phi_{branch}_b2"] = (h, 1, dh)
-            shapes[p + f"nsa.phi_{branch}_pos"] = (l, dh)
-        shapes[p + "mixer.w1"] = (n, n)
-        shapes[p + "mixer.b1"] = (n,)
-        shapes[p + "mixer.ln1_scale"] = (n,)
-        shapes[p + "mixer.ln1_shift"] = (n,)
-        shapes[p + "mixer.w2"] = (d, d)
-        shapes[p + "mixer.b2"] = (d,)
-        shapes[p + "mixer.ln2_scale"] = (d,)
-        shapes[p + "mixer.ln2_shift"] = (d,)
-        if config.fusion == "m":
-            shapes[p + "fuse.w1"] = (d, d)
-            shapes[p + "fuse.b1"] = (d,)
-            shapes[p + "fuse.w2"] = (d, d)
-            shapes[p + "fuse.b2"] = (d,)
-        elif config.fusion == "c":
-            shapes[p + "fuse.w"] = (2 * d, d)
-            shapes[p + "fuse.b"] = (d,)
-    shapes["head.w1"] = (d, config.hidden_head)
-    shapes["head.b1"] = (config.hidden_head,)
-    shapes["head.w2"] = (config.hidden_head, config.output_dim)
-    shapes["head.b2"] = (config.output_dim,)
-    return shapes
-
-
-def init_model_params(config: ModelConfig, rng: np.random.Generator | int) -> dict[str, Tensor]:
-    """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) weights, zero biases.
+def param_specs(config: ModelConfig) -> dict[str, tuple]:
+    """The parameter layout: path -> (shape, init) in serialization order,
+    with init as in `nsa_attention.nsa_param_specs`.
 
     The feature-identity table is treated as a linear map from a one-hot
     feature index, so its fan-in is num_tokens.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    d = config.nsa.dim
-    n = config.num_tokens
-
-    params: dict[str, Tensor] = {"embed.weight": ad.uniform_leaf(rng, 1, d), "embed.bias": ad.zeros_leaf(d)}
+    d, n = config.nsa.dim, config.num_tokens
+    hid, out = config.hidden_head, config.output_dim
+    specs = {"embed.weight": ((d,), 1), "embed.bias": ((d,), 0.0)}
     if config.feature_id_embedding:
-        params["feature_id"] = ad.uniform_leaf(rng, n, n, d)
+        specs["feature_id"] = ((n, d), n)
+    block = {"nsa." + k: v for k, v in nsa_param_specs(config.nsa).items()}
+    block.update({"mixer." + k: v for k, v in tabmixer_param_specs(n, d).items()})
+    if config.fusion == "m":
+        block["fuse.w1"] = ((d, d), d)
+        block["fuse.b1"] = ((d,), 0.0)
+        block["fuse.w2"] = ((d, d), d)
+        block["fuse.b2"] = ((d,), 0.0)
+    elif config.fusion == "c":
+        block["fuse.w"] = ((2 * d, d), 2 * d)
+        block["fuse.b"] = ((d,), 0.0)
     for i in range(config.num_blocks):
-        p = f"blocks.{i}."
-        for key, t in init_nsa_params(config.nsa, rng).items():
-            params[p + "nsa." + key] = t
-        for key, t in init_tabmixer_params(n, d, rng).items():
-            params[p + "mixer." + key] = t
-        if config.fusion == "m":
-            params[p + "fuse.w1"] = ad.uniform_leaf(rng, d, d, d)
-            params[p + "fuse.b1"] = ad.zeros_leaf(d)
-            params[p + "fuse.w2"] = ad.uniform_leaf(rng, d, d, d)
-            params[p + "fuse.b2"] = ad.zeros_leaf(d)
-        elif config.fusion == "c":
-            params[p + "fuse.w"] = ad.uniform_leaf(rng, 2 * d, 2 * d, d)
-            params[p + "fuse.b"] = ad.zeros_leaf(d)
-    params["head.w1"] = ad.uniform_leaf(rng, d, d, config.hidden_head)
-    params["head.b1"] = ad.zeros_leaf(config.hidden_head)
-    params["head.w2"] = ad.uniform_leaf(rng, config.hidden_head, config.hidden_head, config.output_dim)
-    params["head.b2"] = ad.zeros_leaf(config.output_dim)
-    return params
+        specs.update({f"blocks.{i}.{k}": v for k, v in block.items()})
+    specs["head.w1"] = ((d, hid), d)
+    specs["head.b1"] = ((hid,), 0.0)
+    specs["head.w2"] = ((hid, out), hid)
+    specs["head.b2"] = ((out,), 0.0)
+    return specs
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Path -> shape manifest, in serialization order."""
+    return {path: shape for path, (shape, _) in param_specs(config).items()}
+
+
+def init_model_params(config: ModelConfig, rng: np.random.Generator | int) -> dict[str, Tensor]:
+    """Fresh trainable leaves for `param_specs(config)`."""
+    return ad.make_leaves(param_specs(config), rng)
 
 
 def embed_features(x: np.ndarray, params: dict) -> Tensor:
@@ -342,6 +302,8 @@ def save_checkpoint(path: str, params: dict[str, Tensor], config: ModelConfig) -
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, Tensor], ModelConfig]:
+    """Read a `save_checkpoint` file; its parameter manifest must be exactly
+    `param_shapes` of its own config."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         blob = fh.read()
@@ -350,17 +312,22 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], ModelConfig]:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
     config = ModelConfig.from_dict(header["config"])
+    expected = list(param_shapes(config).items())
+    stated = [(entry["path"], tuple(int(s) for s in entry["shape"])) for entry in header["params"]]
+    for got, want in zip_longest(stated, expected, fillvalue=(None, None)):
+        if got != want:
+            message = f"checkpoint parameter {got[0]!r} {got[1]} disagrees with its config"
+            raise ValueError(f"{message}, which expects {want[0]!r} {want[1]}")
     params: dict[str, Tensor] = {}
     offset = 0
-    for entry in header["params"]:
-        shape = tuple(int(s) for s in entry["shape"])
-        nbytes = int(np.prod(shape)) * 8 if shape else 8
+    for name, shape in expected:
+        nbytes = int(np.prod(shape)) * 8
         chunk = blob[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise ValueError("checkpoint payload truncated")
         offset += nbytes
         data = np.frombuffer(chunk, dtype="<f8").reshape(shape).astype(np.float64)
-        params[entry["path"]] = Tensor(data, requires_grad=True)
+        params[name] = Tensor(data, requires_grad=True)
     if offset != len(blob):
         raise ValueError("checkpoint payload has trailing bytes")
     return params, config

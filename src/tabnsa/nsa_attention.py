@@ -73,27 +73,31 @@ class AttentionOutput:
     attn_valid: dict = field(default_factory=dict)  # branch -> bool rows with a visible key
 
 
-def init_nsa_params(cfg: NSAConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) weights, zero biases."""
+def nsa_param_specs(cfg: NSAConfig) -> dict[str, tuple]:
+    """name -> (shape, init): an int init is the fan-in of a
+    Uniform(-sqrt(1/fan_in), +sqrt(1/fan_in)) draw, a float a constant fill."""
     d, h, dh, l = cfg.dim, cfg.heads, cfg.head_dim, cfg.compress_block
     k = l * dh
-
-    params = {
-        "w_q": ad.uniform_leaf(rng, d, d, h * dh),
-        "w_k": ad.uniform_leaf(rng, d, d, h * dh),
-        "w_v": ad.uniform_leaf(rng, d, d, h * dh),
-        "w_o": ad.uniform_leaf(rng, h * dh, h * dh, d),
-        "b_o": ad.zeros_leaf(d),
-        "gate_w": ad.uniform_leaf(rng, d, d, 3),
-        "gate_b": ad.zeros_leaf(3),
+    specs = {
+        "w_q": ((d, h * dh), d),
+        "w_k": ((d, h * dh), d),
+        "w_v": ((d, h * dh), d),
+        "w_o": ((h * dh, d), h * dh),
+        "b_o": ((d,), 0.0),
+        "gate_w": ((d, 3), d),
+        "gate_b": ((3,), 0.0),
     }
     for branch in ("k", "v"):
-        params[f"phi_{branch}_w1"] = ad.uniform_leaf(rng, k, h, k, k)
-        params[f"phi_{branch}_b1"] = ad.zeros_leaf(h, 1, k)
-        params[f"phi_{branch}_w2"] = ad.uniform_leaf(rng, k, h, k, dh)
-        params[f"phi_{branch}_b2"] = ad.zeros_leaf(h, 1, dh)
-        params[f"phi_{branch}_pos"] = ad.uniform_leaf(rng, dh, l, dh)
-    return params
+        specs[f"phi_{branch}_w1"] = ((h, k, k), k)
+        specs[f"phi_{branch}_b1"] = ((h, 1, k), 0.0)
+        specs[f"phi_{branch}_w2"] = ((h, k, dh), k)
+        specs[f"phi_{branch}_b2"] = ((h, 1, dh), 0.0)
+        specs[f"phi_{branch}_pos"] = ((l, dh), dh)
+    return specs
+
+
+def init_nsa_params(cfg: NSAConfig, rng: np.random.Generator) -> dict[str, Tensor]:
+    return ad.make_leaves(nsa_param_specs(cfg), rng)
 
 
 def _phi(params: dict, which: str) -> dict:

@@ -16,17 +16,23 @@ from .autodiff import Tensor
 LN_EPS = 1e-5
 
 
-def init_tabmixer_params(n_tokens: int, dim: int, rng: np.random.Generator) -> dict[str, Tensor]:
+def tabmixer_param_specs(n: int, d: int) -> dict[str, tuple]:
+    """name -> (shape, init) for n tokens of width d, as in
+    `nsa_attention.nsa_param_specs`; the norms start as the identity."""
     return {
-        "w1": ad.uniform_leaf(rng, n_tokens, n_tokens, n_tokens),
-        "b1": ad.zeros_leaf(n_tokens),
-        "ln1_scale": Tensor(np.ones(n_tokens), requires_grad=True),
-        "ln1_shift": ad.zeros_leaf(n_tokens),
-        "w2": ad.uniform_leaf(rng, dim, dim, dim),
-        "b2": ad.zeros_leaf(dim),
-        "ln2_scale": Tensor(np.ones(dim), requires_grad=True),
-        "ln2_shift": ad.zeros_leaf(dim),
+        "w1": ((n, n), n),
+        "b1": ((n,), 0.0),
+        "ln1_scale": ((n,), 1.0),
+        "ln1_shift": ((n,), 0.0),
+        "w2": ((d, d), d),
+        "b2": ((d,), 0.0),
+        "ln2_scale": ((d,), 1.0),
+        "ln2_shift": ((d,), 0.0),
     }
+
+
+def init_tabmixer_params(n_tokens: int, dim: int, rng: np.random.Generator) -> dict[str, Tensor]:
+    return ad.make_leaves(tabmixer_param_specs(n_tokens, dim), rng)
 
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:

@@ -306,6 +306,27 @@ class TestEngine:
         npt.assert_allclose(x.grad, [6.0])
 
 
+class TestMakeLeaves:
+    def test_fan_in_draws_and_constant_fills_in_spec_order(self):
+        specs = {"w": ((3, 4), 4), "b": ((4,), 0.0), "s": ((2,), 1.0), "v": ((5,), 9)}
+        leaves = ad.make_leaves(specs, 7)
+        assert list(leaves) == list(specs)
+        assert all(t.requires_grad for t in leaves.values())
+        rng = np.random.default_rng(7)  # only the fan-in entries draw, in order
+        assert np.array_equal(leaves["w"].data, rng.uniform(-0.5, 0.5, size=(3, 4)))
+        bound = np.sqrt(1.0 / 9)
+        assert np.array_equal(leaves["v"].data, rng.uniform(-bound, bound, size=5))
+        assert np.array_equal(leaves["b"].data, np.zeros(4))
+        assert np.array_equal(leaves["s"].data, np.ones(2))
+
+    def test_generator_is_advanced_in_place(self):
+        rng = np.random.default_rng(3)
+        ad.make_leaves({"w": ((2,), 1)}, rng)
+        ref = np.random.default_rng(3)
+        ref.uniform(-1.0, 1.0, size=2)
+        assert rng.random() == ref.random()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     rows=st.integers(1, 4),

@@ -44,8 +44,8 @@ def regression_csv(tmp_path_factory):
 
 
 def assert_same_artifacts(out1, out2):
-    """Every file matches byte for byte, except manifest timestamps and paths
-    and the per-trial wall_seconds timings."""
+    """Every file matches byte for byte, except the manifest's timestamps,
+    paths and per-trial wall times."""
     names = sorted(os.listdir(out1))
     assert names == sorted(os.listdir(out2))
     for name in names:
@@ -54,11 +54,8 @@ def assert_same_artifacts(out1, out2):
         if name == "manifest.json":
             m1, m2 = json.loads(b1), json.loads(b2)
             for m in (m1, m2):
-                m.pop("started_at"), m.pop("finished_at"), m.pop("out_dir")
+                m.pop("started_at"), m.pop("finished_at"), m.pop("out_dir"), m.pop("trial_wall_seconds", None)
             assert m1 == m2
-        elif name.startswith("trials") and name.endswith(".jsonl"):
-            untimed = [[dict(json.loads(line), wall_seconds=None) for line in b.splitlines()] for b in (b1, b2)]
-            assert untimed[0] == untimed[1], f"{name} differs between identical runs"
         else:
             assert b1 == b2, f"{name} differs between identical runs"
 
@@ -307,10 +304,13 @@ class TestTuneCommand:
         first_trials = open(os.path.join(out, "trials.jsonl")).read()
         first_curve = open(os.path.join(out, "sensitivity.csv")).read()
         first_report = open(os.path.join(out, "refit_report.json")).read()
+        first_walls = json.load(open(os.path.join(out, "manifest.json")))["trial_wall_seconds"]
         assert main(["tune", "--config", fast_config, "--out", out, "--budget", "3"]) == 0
         assert open(os.path.join(out, "trials.jsonl")).read() == first_trials
         assert open(os.path.join(out, "sensitivity.csv")).read() == first_curve
         assert open(os.path.join(out, "refit_report.json")).read() == first_report
+        assert all(w > 0 for w in first_walls) and len(first_walls) == 3
+        assert json.load(open(os.path.join(out, "manifest.json")))["trial_wall_seconds"] == [None] * 3
 
     def test_best_config_is_valid_train_input(self, fast_config, tmp_path):
         out = str(tmp_path / "tuned")

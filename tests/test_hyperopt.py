@@ -112,15 +112,16 @@ class TestTrialSeeds:
 
 class TestTrialRecord:
     def test_json_round_trip(self):
-        rec = TrialRecord(3, {"dim": 16}, {"lr": 1e-3}, 0.75, 1.25, 99)
+        rec = TrialRecord(3, {"fusion": "c"}, {"lr": 1e-3}, 0.75, 99, wall_seconds=1.25)
+        assert "wall_seconds" not in json.loads(rec.to_json())
         back = TrialRecord.from_json(rec.to_json())
-        assert back == rec
+        assert back == dataclasses.replace(rec, wall_seconds=None)
 
     def test_metric_bounds_enforced(self):
         with pytest.raises(ValueError):
-            TrialRecord(0, {}, {}, 1.5, 0.0, 0)
+            TrialRecord(0, {}, {}, 1.5, 0)
         with pytest.raises(ValueError):
-            TrialRecord(0, {}, {}, -0.1, 0.0, 0)
+            TrialRecord(0, {}, {}, -0.1, 0)
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +145,7 @@ class TestRunSearch:
         best2, recs2 = run_search(gaussian_split, NARROW_SPACE, 4, seed=6, base_train=FAST_TRAIN)
         assert [r.trial_id for r in recs1] == [0, 1, 2, 3]
         for a, b in zip(recs1, recs2):
-            assert a.nsa == b.nsa
+            assert a.model == b.model
             assert a.train == b.train
             assert a.val_metric == b.val_metric
             assert a.seed == b.seed
@@ -186,8 +187,8 @@ class TestRunSearch:
         monkeypatch.setattr(hyperopt, "run_trial", counting)
         _, resumed = run_search(gaussian_split, NARROW_SPACE, 4, seed=9, base_train=FAST_TRAIN, log_path=str(log))
         assert sorted(executed) == [2, 3]
-        untimed = lambda r: dataclasses.replace(r, wall_seconds=0.0).to_json()
-        assert [untimed(r) for r in resumed] == [untimed(r) for r in first]
+        assert [r.to_json() for r in resumed] == [r.to_json() for r in first]
+        assert [r.wall_seconds is None for r in resumed] == [True, True, False, False]
         assert len(load_trial_log(str(log))) == 4
 
     def test_changed_search_config_recomputes_logged_trials(self, gaussian_split, tmp_path):
@@ -196,14 +197,40 @@ class TestRunSearch:
         second_space = dataclasses.replace(NARROW_SPACE, heads=(2, 2), head_dim=(9, 9))
         run_search(gaussian_split, first_space, 2, seed=3, base_train=TrainConfig(max_epochs=2), log_path=log)
         _, records = run_search(gaussian_split, second_space, 2, seed=3, base_train=TrainConfig(max_epochs=5), log_path=log)
-        drawn = [(r.nsa["heads"], r.nsa["head_dim"], r.train["max_epochs"]) for r in records]
+        drawn = [(r.model["nsa"]["heads"], r.model["nsa"]["head_dim"], r.train["max_epochs"]) for r in records]
         assert drawn == [(2, 9, 5), (2, 9, 5)]
         assert len(load_trial_log(log)) == 4
+
+    def test_changed_model_template_recomputes_logged_trials(self, gaussian_split, tmp_path):
+        log = str(tmp_path / "trials.jsonl")
+        nsa, _ = sample_config(POINT_SPACE, np.random.default_rng(0))
+        additive = ModelConfig(nsa=nsa, fusion="o", **gaussian_split.model_shape())
+        train = TrainConfig(max_epochs=2)
+        run_search(gaussian_split, NARROW_SPACE, 2, seed=3, model_template=additive, base_train=train, log_path=log)
+        _, same = run_search(gaussian_split, NARROW_SPACE, 2, seed=3, model_template=additive, base_train=train, log_path=log)
+        assert [r.wall_seconds for r in same] == [None, None]  # both reused
+        concat = dataclasses.replace(additive, fusion="c")
+        _, records = run_search(gaussian_split, NARROW_SPACE, 2, seed=3, model_template=concat, base_train=train, log_path=log)
+        assert all(r.wall_seconds is not None for r in records)  # both recomputed
+        assert [r.model["fusion"] for r in records] == ["c", "c"]
+        assert len(load_trial_log(log)) == 4
+
+    def test_old_format_log_line_is_recomputed(self, gaussian_split, tmp_path):
+        log = tmp_path / "trials.jsonl"
+        train = TrainConfig(max_epochs=2)
+        _, first = run_search(gaussian_split, NARROW_SPACE, 1, seed=3, base_train=train, log_path=str(log))
+        old = dict(json.loads(log.read_text()), wall_seconds=1.0)
+        old["nsa"] = old.pop("model")["nsa"]
+        log.write_text(json.dumps(old) + "\n")
+        _, records = run_search(gaussian_split, NARROW_SPACE, 1, seed=3, base_train=train, log_path=str(log))
+        assert records[0].wall_seconds is not None
+        assert records[0].to_json() == first[0].to_json()
+        assert len(log.read_text().splitlines()) == 2
 
     def test_stale_log_entries_are_ignored(self, gaussian_split, tmp_path):
         log = tmp_path / "trials.jsonl"
         with open(log, "w") as fh:
-            fh.write(TrialRecord(0, {}, {}, 0.9, 0.0, 12345).to_json() + "\n")  # wrong seed
+            fh.write(TrialRecord(0, {}, {}, 0.9, 12345).to_json() + "\n")  # wrong seed
         _, records = run_search(gaussian_split, NARROW_SPACE, 1, seed=10, base_train=FAST_TRAIN, log_path=str(log))
         assert records[0].val_metric != 0.9 or records[0].seed == derive_trial_seed(10, 0)
 

@@ -1,6 +1,6 @@
 """Source checks by ast: every name a package module imports is used somewhere
-in that module, and the sparse-attention gathers stay off the slow numpy
-scatter and gather routines."""
+in that module, the sparse-attention gathers stay off the slow numpy
+scatter and gather routines, and trainable leaves have one constructor."""
 
 import ast
 from pathlib import Path
@@ -51,3 +51,31 @@ def test_gathers_avoid_slow_numpy_calls(function):
 def test_call_finder_sees_nested_calls():
     source = "def f(t):\n    def vjp(g):\n        np.add.at(t, 0, g)\n    return np.take_along_axis(t, i, 0)\n"
     assert dotted_calls(source, "f") >= SLOW_CALLS
+
+
+def leaf_constructors(source: str) -> set[str]:
+    """Top-level definitions that build a Tensor with requires_grad=True."""
+    tree = ast.parse(source)
+    found = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and any(
+                kw.arg == "requires_grad" and not (isinstance(kw.value, ast.Constant) and not kw.value.value)
+                for kw in node.keywords
+            ):
+                found.add(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_trainable_leaves_come_from_make_leaves_or_a_checkpoint():
+    found = {(path.stem, name) for path in SOURCES for name in leaf_constructors(path.read_text(encoding="utf-8"))}
+    assert found == {("autodiff", "make_leaves"), ("model", "load_checkpoint")}
+
+
+def test_leaf_finder_sees_nested_and_module_level_leaves():
+    source = (
+        "def f():\n    def g():\n        return Tensor(x, requires_grad=True)\n"
+        "def h():\n    return Tensor(x, requires_grad=False)\n"
+        "W = Tensor(np.ones(2), requires_grad=flag)\n"
+    )
+    assert leaf_constructors(source) == {"f", "<module>"}

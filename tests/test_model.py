@@ -328,9 +328,19 @@ class TestBackwardMemory:
 
 
 class TestParamCount:
-    def test_linear_layer_convention(self):
-        # lone 4 -> 3 linear with bias: 4*3 weights + 3 biases
-        assert 4 * 3 + 3 == 15
+    def test_default_geometry_counted_by_hand(self):
+        # the default CLI geometry on a 15-column, 2-class table: D = 16 as
+        # H = 2 heads of D_H = 8, compress block L = 4 (compressor width
+        # K = L * D_H = 32), head width 64
+        cfg = mk_config(n_tokens=15, dim=16, hidden_head=64)
+        n, d, h, dh, l, k, hid, c = 15, 16, 2, 8, 4, 32, 64, 2
+        embedding = d + d + n * d  # weight, bias, feature-id table
+        attention = 4 * d * d + d + d * 3 + 3  # q/k/v/o projections, output bias, gate
+        compressors = 2 * (h * k * k + h * k + h * k * dh + h * dh + l * dh)  # key and value phi
+        mixer = (n * n + n + 2 * n) + (d * d + d + 2 * d)  # token and channel affine + norm
+        head = d * hid + hid + hid * c + c
+        assert (embedding, attention, compressors, mixer, head) == (272, 1091, 5344, 574, 1218)
+        assert count_params(cfg) == embedding + attention + compressors + mixer + head == 8499
 
     @pytest.mark.parametrize("cfg", PARAM_CONFIGS)
     def test_matches_initialized_tensor_sizes(self, cfg):
@@ -469,3 +479,11 @@ class TestCheckpoint:
         padded.write_bytes(raw + b"\x00" * 4)
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(str(padded))
+
+        concat_cfg = mk_config(fusion="c")
+        concat = tmp_path / "c.ckpt"
+        save_checkpoint(str(concat), init_model_params(concat_cfg, np.random.default_rng(31)), concat_cfg)
+        relabeled = tmp_path / "r.ckpt"
+        relabeled.write_bytes(concat.read_bytes().replace(b'"fusion": "c"', b'"fusion": "o"', 1))
+        with pytest.raises(ValueError, match="'blocks.0.fuse.w'"):
+            load_checkpoint(str(relabeled))
