@@ -12,12 +12,13 @@ import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import expit, ndtr
 
 # per-thread so concurrent fits and no-grad evaluations cannot interfere
 _GRAD_STATE = threading.local()
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# logit of a masked key: its exp underflows to exactly 0
+NEG_INF = -1e30
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
@@ -138,9 +139,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __pow__(self, p):
         return power(self, p)
 
@@ -215,19 +213,6 @@ def mul(a, b) -> Tensor:
     )
 
 
-def div(a, b) -> Tensor:
-    a, b = _ensure(a), _ensure(b)
-    data = a.data / b.data
-    return _node(
-        data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        ),
-    )
-
-
 def power(a, p: float) -> Tensor:
     a = _ensure(a)
     p = float(p)
@@ -266,6 +251,37 @@ def _matmul_to(x: np.ndarray, y: np.ndarray, shape: tuple[int, ...]) -> np.ndarr
     return xf @ yf
 
 
+def linear(x, w, b) -> Tensor:
+    """x @ w + b as one node. w is (K, P), or (H, K, P) per-head weights
+    under a (B, H, M, K) input; b broadcasts over the product."""
+    x, w, b = _ensure(x), _ensure(w), _ensure(b)
+    data = x.data @ w.data
+    data += b.data
+
+    def vjp(g):
+        gx = _matmul_to(g, w.data.swapaxes(-1, -2), x.data.shape)
+        gw = _matmul_to(x.data.swapaxes(-1, -2), g, w.data.shape)
+        return gx, gw, _unbroadcast(g, b.data.shape)
+
+    return _node(data, (x, w, b), vjp)
+
+
+def layer_norm(x, scale, shift, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * scale + shift over the last axis, as one node."""
+    x, scale, shift = _ensure(x), _ensure(scale), _ensure(shift)
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered / std
+    data = xhat * scale.data + shift.data
+
+    def vjp(g):
+        gx = g * scale.data
+        gx -= gx.mean(axis=-1, keepdims=True) + xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+        return gx / std, _unbroadcast(g * xhat, scale.data.shape), _unbroadcast(g, shift.data.shape)
+
+    return _node(data, (x, scale, shift), vjp)
+
+
 # -- elementwise nonlinearities ------------------------------------------
 
 
@@ -280,33 +296,17 @@ def log(a) -> Tensor:
     return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
-def sqrt(a) -> Tensor:
-    a = _ensure(a)
-    data = np.sqrt(a.data)
-    return _node(data, (a,), lambda g: (g * 0.5 / data,))
-
-
 def sigmoid(a) -> Tensor:
     a = _ensure(a)
-    data = _sigmoid(a.data)
+    data = expit(a.data)
     return _node(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # piecewise form avoids overflow in exp for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def gelu(a) -> Tensor:
-    """Exact Gaussian-error-function form, not the tanh approximation."""
+    """Exact x * Phi(x), Phi the standard normal CDF; not the tanh approximation."""
     a = _ensure(a)
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    cdf = ndtr(x)
     data = x * cdf
 
     def vjp(g):
@@ -318,24 +318,11 @@ def gelu(a) -> Tensor:
 
 def silu(a) -> Tensor:
     a = _ensure(a)
-    s = _sigmoid(a.data)
+    s = expit(a.data)
     data = a.data * s
 
     def vjp(g):
         return (g * s * (1.0 + a.data * (1.0 - s)),)
-
-    return _node(data, (a,), vjp)
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    a = _ensure(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
-        return (data * (g - inner),)
 
     return _node(data, (a,), vjp)
 
@@ -442,14 +429,86 @@ def gather_selected(t, idx: np.ndarray) -> Tensor:
 
     t: (B, H, N, Dh); idx: int array (B, T, S) of token positions for each of
     T queries. Returns (B, H, T, S, Dh) with out[b,h,t,s] = t[b,h,idx[b,t,s]].
+    Whole token rows (all heads) are copied once per (sample, query, slot)
+    from the (B, N, H*Dh) layout the projections produce.
     """
     t = _ensure(t)
     idx = np.asarray(idx, dtype=np.intp)
     B, H, N, Dh = t.data.shape
-    data = t.data[np.arange(B)[:, None, None, None], np.arange(H)[None, :, None, None], idx[:, None]]
+    _, T, S = idx.shape
+    rows = t.data.swapaxes(1, 2).reshape(B, N, H * Dh)[np.arange(B)[:, None, None], idx]  # (B, T, S, H*Dh)
+    data = np.ascontiguousarray(rows.reshape(B, T, S, H, Dh).transpose(0, 3, 1, 2, 4))
 
     def vjp(g):
-        onehot = np.arange(N)[:, None] == idx.reshape(B, 1, 1, -1)  # (B, 1, N, T*S)
-        return (onehot.astype(np.float64) @ g.reshape(B, H, -1, Dh),)
+        onehot = (np.arange(N)[:, None] == idx.reshape(B, 1, T * S)).astype(np.float64)  # (B, N, T*S)
+        grows = onehot @ g.transpose(0, 2, 3, 1, 4).reshape(B, T * S, H * Dh)
+        return (grows.reshape(B, N, H, Dh).swapaxes(1, 2),)
 
     return _node(data, (t,), vjp)
+
+
+# -- softmax attention ----------------------------------------------------
+
+
+def _masked_softmax(logits: np.ndarray, valid: np.ndarray | None) -> np.ndarray:
+    """Softmax over the last axis without the keys outside `valid`; a row
+    with no valid key is all zeros. Max and sum run over slices of the last
+    axis, which beats numpy's reductions along a short axis severalfold."""
+    if valid is not None:
+        logits = np.where(valid, logits, NEG_INF)
+    top = logits[..., 0]
+    for j in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., j])
+    e = np.exp(logits - top[..., None])
+    total = e[..., 0].copy()
+    for j in range(1, e.shape[-1]):
+        total += e[..., j]
+    e /= total[..., None]
+    if valid is not None:
+        any_valid = valid.any(axis=-1, keepdims=True)
+        if not any_valid.all():
+            e *= any_valid
+    return e
+
+
+def attention_weights(q, k, valid: np.ndarray | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(Dh)) over the keys marked valid, as one node.
+
+    q: (..., T, Dh); k: (..., S, Dh); valid: bool broadcastable to
+    (..., T, S), or None for all keys. A row with no valid key is all zeros.
+    """
+    q, k = _ensure(q), _ensure(k)
+    scale = 1.0 / np.sqrt(q.data.shape[-1])
+    p = _masked_softmax((q.data @ k.data.swapaxes(-1, -2)) * scale, valid)
+
+    def vjp(g):
+        ds = p * (g - (g * p).sum(axis=-1, keepdims=True)) * scale
+        return _matmul_to(ds, k.data, q.data.shape), _matmul_to(ds.swapaxes(-1, -2), q.data, k.data.shape)
+
+    return _node(p, (q, k), vjp)
+
+
+def attend(q, keys, values, valid: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Softmax attention of each query over its own gathered keys, as one node.
+
+    q: (B, H, T, Dh); keys, values: (B, H, T, S, Dh), the S keys each query
+    sees; valid: bool broadcastable to (B, H, T, S), or None for all keys.
+    Returns the (B, H, T, Dh) output and the (B, H, T, S) weights; a row
+    with no valid key outputs zeros. The backward is the closed form of
+    FlashAttention-2 (Dao, arXiv 2307.08691): dS = P * (dP - rowsum(dO * O)).
+    """
+    q, keys, values = _ensure(q), _ensure(keys), _ensure(values)
+    # einsum is several times faster when its operands share one C layout
+    qd, kd, vd = (np.ascontiguousarray(t.data) for t in (q, keys, values))
+    scale = 1.0 / np.sqrt(qd.shape[-1])
+    p = _masked_softmax(np.einsum("...d,...sd->...s", qd, kd) * scale, valid)
+    out = np.einsum("...s,...sd->...d", p, vd)
+
+    def vjp(g):
+        g = np.ascontiguousarray(g)
+        dp = np.einsum("...d,...sd->...s", g, vd)
+        ds = p * (dp - np.einsum("...d,...d->...", g, out)[..., None]) * scale
+        gq = np.einsum("...s,...sd->...d", ds, kd)
+        return gq, np.einsum("...s,...d->...sd", ds, qd), np.einsum("...s,...d->...sd", p, g)
+
+    return _node(out, (q, keys, values), vjp), p

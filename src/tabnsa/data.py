@@ -261,17 +261,10 @@ def _encode_feature(col: Column, st: dict, n_rows: int) -> np.ndarray:
             dtype=np.float64,
         )
         return _standardize(codes, st["mean"], st["std"])
-    # binary: {0,1} by sorted-lexicographic value order, not standardized
+    # binary: {0,1} by sorted-lexicographic value order, not standardized;
+    # missing and values the fit rows never saw take the fill
     code_of = {st["zero"]: 0.0, st["one"]: 1.0}
-    out = []
-    for v in col.values:
-        if v is None:
-            out.append(st["fill"])
-        elif v in code_of:
-            out.append(code_of[v])
-        else:
-            raise ValueError(f"binary column {col.name!r} saw unexpected value {v!r}")
-    return np.array(out, dtype=np.float64)
+    return np.array([st["fill"] if v is None else code_of.get(v, st["fill"]) for v in col.values], dtype=np.float64)
 
 
 def _target_state(col: Column) -> dict:
@@ -303,9 +296,10 @@ def preprocess(raw: RawTable, fit_on) -> tuple[FeatureMatrix, LabelVector, Prepr
     Numeric: median-impute then standardize (training-row statistics; zero
     variance maps to all-zeros). Categorical: ordinal codes by first
     appearance in fit rows, a reserved code for missing/unseen, then
-    standardized like numerics. Binary: {0,1} by sorted value order, missing
-    filled with the fit-row mode. Columns with no observed fit value are
-    dropped with a warning.
+    standardized like numerics. Binary: {0,1} by sorted order of the fit-row
+    values (`one` is None when the fit rows hold one value), missing and
+    unseen values filled with the fit-row mode. Columns with no observed fit
+    value are dropped with a warning.
     """
     fit_on = np.asarray(fit_on, dtype=np.intp)
     if fit_on.size == 0:
@@ -349,8 +343,7 @@ def preprocess(raw: RawTable, fit_on) -> tuple[FeatureMatrix, LabelVector, Prepr
                 "std": float(codes.std()),
             }
         else:  # binary
-            all_present = sorted({v for v in col.values if v is not None})
-            zero, one = all_present[0], all_present[1]
+            zero, one = (sorted(set(present)) + [None])[:2]
             ones = sum(1 for v in present if v == one)
             fill = 1.0 if ones * 2 > len(present) else 0.0
             features[col.name] = {"kind": BINARY, "zero": zero, "one": one, "fill": fill}

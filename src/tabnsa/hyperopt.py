@@ -12,6 +12,7 @@ recomputed in any order, including across worker threads.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -254,13 +255,19 @@ def run_search(
         done = {rec.trial_id: rec for rec in load_trial_log(log_path) if drawn_again(rec)}
     pending = [t for t in range(budget) if t not in done]
 
+    # records are appended in trial-id order whatever order workers finish
+    # in: a finished record waits only for the earlier trials still running
     log_lock = threading.Lock()
+    unwritten = collections.deque(pending)
+    held: dict[int, TrialRecord] = {}
 
     def execute(trial_id: int) -> TrialRecord:
         rec = run_trial(trial_id, split, space, seed, model_template, base_train)
         if log_path:
             with log_lock, open(log_path, "a", encoding="utf-8") as fh:
-                fh.write(rec.to_json() + "\n")
+                held[trial_id] = rec
+                while unwritten and unwritten[0] in held:
+                    fh.write(held.pop(unwritten.popleft()).to_json() + "\n")
         return rec
 
     workers = _worker_count(max_workers)

@@ -160,11 +160,11 @@ def fuse(y: Tensor, z: Tensor | None, variant: str, params: dict) -> Tensor:
         return y + z
     if variant == "m":
         s = y + z
-        hidden = ad.gelu(s @ params["fuse.w1"] + params["fuse.b1"])
-        return hidden @ params["fuse.w2"] + params["fuse.b2"]
+        hidden = ad.gelu(ad.linear(s, params["fuse.w1"], params["fuse.b1"]))
+        return ad.linear(hidden, params["fuse.w2"], params["fuse.b2"])
     if variant == "c":
         cat = ad.concatenate([y, z], axis=-1)
-        return cat @ params["fuse.w"] + params["fuse.b"]
+        return ad.linear(cat, params["fuse.w"], params["fuse.b"])
     if variant == "r":
         return tabmixer_forward(y, _subview(params, "mixer."))
     raise ValueError(f"unknown fusion variant {variant!r}; expected one of {FUSION_VARIANTS}")
@@ -192,8 +192,8 @@ def forward(x: np.ndarray, params: dict, config: ModelConfig) -> Tensor:
             z = tabmixer_forward(t, _subview(block, "mixer."))
             t = fuse(y, z, config.fusion, block)
     pooled = mean_pool(t)
-    hidden = ad.gelu(pooled @ params["head.w1"] + params["head.b1"])
-    return hidden @ params["head.w2"] + params["head.b2"]
+    hidden = ad.gelu(ad.linear(pooled, params["head.w1"], params["head.b1"]))
+    return ad.linear(hidden, params["head.w2"], params["head.b2"])
 
 
 def count_params(config: ModelConfig) -> int:

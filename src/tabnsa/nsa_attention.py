@@ -19,8 +19,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-NEG_INF = -1e30
-
 
 @dataclass(frozen=True)
 class NSAConfig:
@@ -104,18 +102,6 @@ def _phi(params: dict, which: str) -> dict:
     return {key: params[f"phi_{which}_{key}"] for key in ("w1", "b1", "w2", "b2", "pos")}
 
 
-def masked_softmax(logits: Tensor, valid: np.ndarray | None, axis: int = -1) -> Tensor:
-    """Softmax over the keys marked valid; rows with no valid key become zeros."""
-    if valid is None:
-        return ad.softmax(logits, axis=axis)
-    neg = np.where(valid, 0.0, NEG_INF)
-    y = ad.softmax(logits + Tensor(neg), axis=axis)
-    any_valid = valid.any(axis=axis, keepdims=True)
-    if not any_valid.all():
-        y = y * Tensor(any_valid.astype(np.float64))
-    return y
-
-
 def project_qkv(x: Tensor, params: dict, cfg: NSAConfig):
     """(B, N, D) -> three (B, H, N, D_H) projections, bias-free."""
     b, n, d = x.shape
@@ -127,20 +113,6 @@ def project_qkv(x: Tensor, params: dict, cfg: NSAConfig):
         return flat.reshape(b, n, cfg.heads, cfg.head_dim).swapaxes(1, 2)
 
     return heads(params["w_q"]), heads(params["w_k"]), heads(params["w_v"])
-
-
-def full_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Tensor:
-    """Dense reference: softmax(q k^T / sqrt(D_H)) v over all (or prefix) keys."""
-    if q.shape != k.shape or k.shape != v.shape:
-        raise ValueError("q, k, v must share shape")
-    n = q.shape[2]
-    scale = 1.0 / np.sqrt(q.shape[3])
-    logits = (q @ k.swapaxes(-1, -2)) * scale
-    valid = None
-    if causal:
-        valid = np.tril(np.ones((n, n), dtype=bool))
-    att = masked_softmax(logits, valid)
-    return att @ v
 
 
 def compress_tokens(kv: Tensor, cfg: NSAConfig, phi: dict | None) -> Tensor:
@@ -165,15 +137,14 @@ def compress_tokens(kv: Tensor, cfg: NSAConfig, phi: dict | None) -> Tensor:
         return blocks.mean(axis=3)
     blocks = blocks + phi["pos"]  # (l, Dh) broadcasts over (B, H, M, l, Dh)
     flat = blocks.reshape(b, h, m, l * dh)
-    hidden = ad.gelu(flat @ phi["w1"] + phi["b1"])  # per-head weights (H, K, K)
-    return hidden @ phi["w2"] + phi["b2"]
+    hidden = ad.gelu(ad.linear(flat, phi["w1"], phi["b1"]))  # per-head weights (H, K, K)
+    return ad.linear(hidden, phi["w2"], phi["b2"])
 
 
 def compression_scores(q: Tensor, k_cmp: Tensor, valid: np.ndarray | None = None) -> Tensor:
-    """softmax(q k_cmp^T / sqrt(D_H)) over compressed keys; rows sum to 1."""
-    scale = 1.0 / np.sqrt(q.shape[3])
-    logits = (q @ k_cmp.swapaxes(-1, -2)) * scale
-    return masked_softmax(logits, valid)
+    """softmax(q k_cmp^T / sqrt(D_H)) over the compressed keys marked valid;
+    rows sum to 1, or are all zeros where no key is valid."""
+    return ad.attention_weights(q, k_cmp, valid)
 
 
 def selection_map_matrix(cfg: NSAConfig, n_cmp: int, n_slc: int) -> np.ndarray:
@@ -252,15 +223,8 @@ def window_indices(n_tokens: int, w: int, causal: bool):
 
 
 def _per_query_attention(q: Tensor, keys: Tensor, values: Tensor, valid: np.ndarray | None):
-    """q: (B,H,N,Dh); keys/values: (B,H,N,S,Dh). Returns ((B,H,N,Dh), weights)."""
-    b, h, n, dh = q.shape
-    s = keys.shape[3]
-    scale = 1.0 / np.sqrt(dh)
-    q_e = q.reshape(b, h, n, 1, dh)
-    logits = (q_e @ keys.swapaxes(-1, -2)).reshape(b, h, n, s) * scale
-    att = masked_softmax(logits, valid)
-    out = (att.reshape(b, h, n, 1, s) @ values).reshape(b, h, n, dh)
-    return out, att
+    """q: (B,H,N,Dh); keys/values: (B,H,N,S,Dh). Returns ((B,H,N,Dh), weights array)."""
+    return ad.attend(q, keys, values, valid)
 
 
 def _merge_heads(t: Tensor) -> Tensor:
@@ -270,11 +234,11 @@ def _merge_heads(t: Tensor) -> Tensor:
 
 def gated_combine(branches: tuple, params: dict, x: Tensor):
     """gates = sigmoid(x gate_w + gate_b); output = W_o(sum_c g_c * branch_c) + b_o."""
-    gates = ad.sigmoid(x @ params["gate_w"] + params["gate_b"])  # (B, N, 3)
+    gates = ad.sigmoid(ad.linear(x, params["gate_w"], params["gate_b"]))  # (B, N, 3)
     combined = (
         gates[:, :, 0:1] * branches[0] + gates[:, :, 1:2] * branches[1] + gates[:, :, 2:3] * branches[2]
     )
-    return combined @ params["w_o"] + params["b_o"], gates
+    return ad.linear(combined, params["w_o"], params["b_o"]), gates
 
 
 def nsa_forward(x: Tensor, params: dict, cfg: NSAConfig) -> AttentionOutput:
@@ -325,7 +289,7 @@ def nsa_forward(x: Tensor, params: dict, cfg: NSAConfig) -> AttentionOutput:
         branch_outputs=branches,
         gates=gates,
         selected=selected,
-        attn_weights={"cmp": p_cmp.data, "slc": slc_att.data, "win": win_att.data},
+        attn_weights={"cmp": p_cmp.data, "slc": slc_att, "win": win_att},
         attn_valid={
             "cmp": rows_valid(None if cmp_valid is None else cmp_valid[None, None, :, :], (b, h, n)),
             "slc": rows_valid(tok_valid[:, None, :, :], (b, h, n)),

@@ -37,15 +37,12 @@ def init_tabmixer_params(n_tokens: int, dim: int, rng: np.random.Generator) -> d
 
 def layer_norm(x: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     """Normalize the last axis to mean 0, variance 1 (eps 1e-5), then affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / ad.sqrt(var + LN_EPS) * scale + shift
+    return ad.layer_norm(x, scale, shift, LN_EPS)
 
 
 def _affine_mix(x: Tensor, w: Tensor, b: Tensor, scale: Tensor, shift: Tensor) -> Tensor:
     # x: (..., K); w: (K, K) applied as LayerNorm(x) @ w^T + b
-    return layer_norm(x, scale, shift) @ w.swapaxes(-1, -2) + b
+    return ad.linear(layer_norm(x, scale, shift), w.swapaxes(-1, -2), b)
 
 
 def tabmixer_forward(x: Tensor, params: dict) -> Tensor:

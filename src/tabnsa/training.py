@@ -184,14 +184,20 @@ def grad_or_zero(p: Tensor) -> np.ndarray:
 
 class AdamW:
     """Adam moment estimates with decoupled weight decay:
-    p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p)."""
+    p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p).
+
+    One step updates every parameter in one vectorized pass over their
+    concatenation, then writes each slice back into its `p.data` in place;
+    each element sees the same float operations as a per-parameter loop."""
 
     def __init__(self, params: dict[str, Tensor], lr: float, cfg: AdamWConfig | None = None):
         self.params = params
         self.lr = float(lr)
         self.cfg = cfg or AdamWConfig()
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        sizes = [p.data.size for p in params.values()]
+        self.offsets = np.cumsum(sizes)[:-1]
+        self.m = np.zeros(sum(sizes))
+        self.v = np.zeros(sum(sizes))
         self.t = 0
 
     def zero_grad(self) -> None:
@@ -203,13 +209,16 @@ class AdamW:
         b1, b2 = self.cfg.beta1, self.cfg.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        for k, p in self.params.items():
-            g = grad_or_zero(p)
-            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1.0 - b2) * g * g
-            m_hat = self.m[k] / c1
-            v_hat = self.v[k] / c2
-            p.data -= self.lr * (m_hat / (np.sqrt(v_hat) + self.cfg.eps) + self.cfg.weight_decay * p.data)
+        ps = list(self.params.values())
+        g = np.concatenate([grad_or_zero(p).ravel() for p in ps])
+        x = np.concatenate([p.data.ravel() for p in ps])
+        self.m = b1 * self.m + (1.0 - b1) * g
+        self.v = b2 * self.v + (1.0 - b2) * g * g
+        m_hat = self.m / c1
+        v_hat = self.v / c2
+        x -= self.lr * (m_hat / (np.sqrt(v_hat) + self.cfg.eps) + self.cfg.weight_decay * x)
+        for p, new in zip(ps, np.split(x, self.offsets)):
+            p.data[...] = new.reshape(p.data.shape)
 
 
 class EarlyStopper:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import erf
 
+from tabnsa.autodiff import NEG_INF
 from tabnsa.model import (
     ACT_FLOPS_PER_ELEMENT,
     MAC_FLOPS,
@@ -20,7 +21,7 @@ from tabnsa.model import (
     SOFTMAX_FLOPS_PER_ELEMENT,
     ModelConfig,
 )
-from tabnsa.nsa_attention import NEG_INF, selection_map_matrix, window_indices
+from tabnsa.nsa_attention import selection_map_matrix, window_indices
 
 
 def _gelu(x):

@@ -20,6 +20,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from attention_oracle import full_attention
 from conftest import fd_param_check
 from flops_oracle import instrumented_forward
 from tabnsa import nsa_attention as nsa
@@ -93,7 +94,7 @@ class TestDenseEquivalence:
                 warnings.simplefilter("ignore")
                 got = nsa.nsa_forward(x, params, cfg).output.numpy()
             q, k, v = nsa.project_qkv(x, params, cfg)
-            dense = nsa.full_attention(q, k, v, causal=cfg.causal)
+            dense = full_attention(q, k, v, causal=cfg.causal)
             b, h, _, dh = dense.shape
             merged = dense.swapaxes(1, 2).reshape(b, n, h * dh)
             expected = (merged @ params["w_o"] + params["b_o"]).numpy()

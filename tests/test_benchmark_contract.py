@@ -1,0 +1,85 @@
+"""The package surface the benchmark in perfbench/ relies on.
+
+perfbench/probes.py replays the attention and mixer stages by name, and
+the benchmark reports the size of one training step's tape. A rename or a
+changed return shape would otherwise surface only in a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import tabnsa.autodiff
+import tabnsa.model
+import tabnsa.nsa_attention
+import tabnsa.tabmixer
+from tabnsa.model import ModelConfig, forward, init_model_params
+from tabnsa.nsa_attention import NSAConfig
+from tabnsa.training import weighted_cross_entropy
+
+PROBES = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
+COMPONENTS = (
+    "qkv_proj", "compression_phi", "attention_compression", "selection_scoring",
+    "attention_selection", "attention_window", "gated_combine", "tabmixer",
+)
+TAPE_NODE_BUDGET = 110
+
+
+def default_config() -> ModelConfig:
+    """The benchmark's default geometry: 15 tokens, fusion o."""
+    nsa = NSAConfig(dim=16, heads=2, head_dim=8, window=3, compress_block=4, compress_stride=2,
+                    select_block=2, num_selected=2)
+    return ModelConfig(nsa=nsa, num_tokens=15)
+
+
+def load_probes():
+    """Import perfbench/probes.py without writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location("perfbench_probes", PROBES)
+    module = importlib.util.module_from_spec(spec)
+    previous, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = previous
+    return module
+
+
+def tape_nodes(out) -> int:
+    """Nodes reachable from `out` through parents that require grad, as the
+    benchmark counts them."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(p for p in node._parents if p.requires_grad)
+    return len(seen)
+
+
+def test_component_probes_report_every_layer_metric():
+    config = default_config()
+    params = init_model_params(config, 0)
+    x = np.random.default_rng(0).normal(size=(2, config.num_tokens))
+    metrics = load_probes().component_metrics(tabnsa, x, params, config)
+    expected = set()
+    for comp in COMPONENTS:
+        prefix = comp if comp == "tabmixer" else f"nsa_attention.{comp}"
+        kinds = ("fwd_ms", "gflops_per_s", "peak_alloc_mib")
+        if comp != "selection_scoring":  # scores are detached: no backward
+            kinds += ("bwd_ms",)
+        expected |= {f"{prefix}.{kind}" for kind in kinds}
+    assert len(expected) == 31
+    assert set(metrics) == expected
+    assert all(np.isfinite(v) and v >= 0.0 for v in metrics.values())
+
+
+def test_training_step_tape_fits_the_node_budget():
+    config = default_config()
+    params = init_model_params(config, 0)
+    rng = np.random.default_rng(1)
+    x, y = rng.normal(size=(32, config.num_tokens)), rng.integers(0, 2, size=32)
+    loss = weighted_cross_entropy(forward(x, params, config), y, np.array([0.9, 1.1]))
+    assert tape_nodes(loss) <= TAPE_NODE_BUDGET

@@ -19,6 +19,7 @@ from tabnsa.cli import (
     parse_seeds,
 )
 from tabnsa.data import write_two_gaussians_csv
+from tabnsa.hyperopt import THREADS_ENV_VAR
 from tabnsa.model import load_checkpoint
 
 
@@ -275,6 +276,18 @@ class TestRerunIdentity:
             assert main(argv + ["--config", fast_config, "--out", out]) == 0
             stdouts.append(capsys.readouterr().out)
         assert stdouts[0] == stdouts[1]
+        assert_same_artifacts(*outs)
+
+
+    @pytest.mark.parametrize("argv", [["tune", "--budget", "3"], ["transfer", "--overlap", "0.5"]], ids=lambda a: a[0])
+    def test_artifacts_do_not_depend_on_worker_count(self, argv, fast_config, tmp_path, monkeypatch, capsys):
+        outs, stdouts = [str(tmp_path / "one"), str(tmp_path / "two")], []
+        for out, workers in zip(outs, ("1", "2")):
+            monkeypatch.setenv(THREADS_ENV_VAR, workers)
+            assert main(argv + ["--config", fast_config, "--out", out]) == 0
+            stdouts.append(capsys.readouterr().out)
+        assert stdouts[0] == stdouts[1]
+        assert any(name.startswith("trials") for name in os.listdir(outs[0]))
         assert_same_artifacts(*outs)
 
 

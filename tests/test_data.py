@@ -97,6 +97,27 @@ class TestPreprocess:
         mat, _, _ = D.preprocess(t, fit_on=[0, 1, 3])
         assert mat.values[2, 0] == 1.0  # mode of fit rows is "yes"
 
+    def test_binary_value_only_in_other_rows_leaves_state_unchanged(self):
+        ys = (D.CATEGORICAL, list("pqpqp"))
+        fit_rows = [0, 1, 2]
+        base = simple_table({"a": (D.BINARY, ["t", "f", "t", "t", "f"]), "y": ys})
+        # "a" sorts before both fit values, so reading every row would make it `zero`
+        other = simple_table({"a": (D.BINARY, ["t", "f", "t", "a", "f"]), "y": ys})
+        _, _, state_base = D.preprocess(base, fit_on=fit_rows)
+        mat, _, state_other = D.preprocess(other, fit_on=fit_rows)
+        assert state_other.to_json() == state_base.to_json()
+        st = state_other.features["a"]
+        assert (st["zero"], st["one"], st["fill"]) == ("f", "t", 1.0)
+        npt.assert_array_equal(mat.values[:, 0], [1.0, 0.0, 1.0, 1.0, 0.0])  # the unseen "a" takes the fill
+
+    def test_binary_constant_in_fit_rows_still_encodes(self):
+        t = simple_table({"a": (D.BINARY, ["t", "t", None, "f"]), "y": (D.CATEGORICAL, list("pqpq"))})
+        mat, _, state = D.preprocess(t, fit_on=[0, 1, 2])
+        st = state.features["a"]
+        assert (st["zero"], st["one"], st["fill"]) == ("t", None, 0.0)
+        npt.assert_array_equal(mat.values[:, 0], [0.0, 0.0, 0.0, 0.0])
+        assert D.PreprocessState.from_json(state.to_json()).to_json() == state.to_json()
+
     def test_standardized_on_fit_rows(self):
         rng = np.random.default_rng(3)
         vals = list(rng.normal(5, 3, size=40))

@@ -4,6 +4,9 @@ leakage instrumentation, and the refit protocol."""
 import dataclasses
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -190,6 +193,48 @@ class TestRunSearch:
         assert [r.to_json() for r in resumed] == [r.to_json() for r in first]
         assert [r.wall_seconds is None for r in resumed] == [True, True, False, False]
         assert len(load_trial_log(str(log))) == 4
+
+    def test_log_is_in_trial_order_when_trials_finish_out_of_order(self, gaussian_split, tmp_path, monkeypatch):
+        serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
+        run_search(gaussian_split, NARROW_SPACE, 4, seed=10, base_train=FAST_TRAIN, log_path=str(serial))
+        real = hyperopt.run_trial
+        finished = []
+        trial_one_done = threading.Event()
+
+        def trial_zero_last(trial_id, *a, **kw):
+            if trial_id == 0:
+                assert trial_one_done.wait(timeout=60)
+            rec = real(trial_id, *a, **kw)
+            finished.append(trial_id)
+            if trial_id == 1:
+                trial_one_done.set()
+            return rec
+
+        monkeypatch.setattr(hyperopt, "run_trial", trial_zero_last)
+        run_search(gaussian_split, NARROW_SPACE, 4, seed=10, base_train=FAST_TRAIN, log_path=str(parallel),
+                   max_workers=2)
+        assert finished[0] == 1
+        assert parallel.read_bytes() == serial.read_bytes()
+
+    def test_ordered_log_under_many_workers_stress(self, gaussian_split, tmp_path, monkeypatch):
+        budget, log = 60, tmp_path / "trials.jsonl"
+        rng = np.random.default_rng(3)
+        delays = rng.uniform(0.0, 0.004, size=budget)
+
+        def fake_trial(trial_id, *a, **kw):
+            time.sleep(delays[trial_id])
+            return TrialRecord(trial_id, {}, {}, float(delays[trial_id]) * 100.0, trial_id)
+
+        monkeypatch.setattr(hyperopt, "run_trial", fake_trial)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, records = run_search(gaussian_split, NARROW_SPACE, budget, seed=0, log_path=str(log), max_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        logged = [json.loads(line)["trial_id"] for line in log.read_text().splitlines()]
+        assert logged == list(range(budget))
+        assert [r.trial_id for r in records] == list(range(budget))
 
     def test_changed_search_config_recomputes_logged_trials(self, gaussian_split, tmp_path):
         log = str(tmp_path / "trials.jsonl")

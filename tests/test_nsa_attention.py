@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from attention_oracle import full_attention
 from conftest import fd_param_check
 from tabnsa import nsa_attention as nsa
 from tabnsa.autodiff import Tensor
@@ -108,18 +109,18 @@ class TestFullAttention:
         q = RNG.normal(size=(1, 1, 3, 4))
         k = np.broadcast_to(RNG.normal(size=(1, 1, 1, 4)), (1, 1, 3, 4)).copy()
         v = RNG.normal(size=(1, 1, 3, 4))
-        out = nsa.full_attention(Tensor(q), Tensor(k), Tensor(v)).numpy()
+        out = full_attention(Tensor(q), Tensor(k), Tensor(v)).numpy()
         npt.assert_allclose(out[0, 0, 0], v[0, 0].mean(axis=0), atol=1e-12)
 
     def test_single_token_returns_value(self):
         q, k, v = (RNG.normal(size=(2, 2, 1, 4)) for _ in range(3))
-        out = nsa.full_attention(Tensor(q), Tensor(k), Tensor(v)).numpy()
+        out = full_attention(Tensor(q), Tensor(k), Tensor(v)).numpy()
         npt.assert_allclose(out, v, atol=1e-15)
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_matches_two_loop_oracle(self, causal):
         q, k, v = (RNG.normal(size=(2, 2, 3, 4)) for _ in range(3))
-        got = nsa.full_attention(Tensor(q), Tensor(k), Tensor(v), causal=causal).numpy()
+        got = full_attention(Tensor(q), Tensor(k), Tensor(v), causal=causal).numpy()
         npt.assert_allclose(got, two_loop_attention(q, k, v, causal), atol=1e-12)
 
 
@@ -356,7 +357,7 @@ class TestNsaForward:
         x = Tensor(np.random.default_rng(6).normal(size=(3, n, 8)))
         got = nsa.nsa_forward(x, params, cfg).output.numpy()
         q, k, v = nsa.project_qkv(x, params, cfg)
-        dense = nsa.full_attention(q, k, v, causal=causal)
+        dense = full_attention(q, k, v, causal=causal)
         b, h, nn, dh = dense.shape
         merged = dense.swapaxes(1, 2).reshape(b, nn, h * dh)
         expected = (merged @ params["w_o"] + params["b_o"]).numpy()

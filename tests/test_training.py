@@ -205,6 +205,33 @@ class TestAdamW:
         opt.step()
         assert abs(p.data[0] - (1.0 - 0.2 * 0.01)) < 1e-15
 
+    def test_five_steps_match_a_per_parameter_loop_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        shapes = {"w": (3, 4), "b": (4,), "unused": (2, 1, 3), "s": ()}
+        start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        params = {k: Tensor(v.copy(), requires_grad=True) for k, v in start.items()}
+        cfg = AdamWConfig(beta1=0.8, beta2=0.95, eps=1e-6, weight_decay=0.1)
+        opt = AdamW(params, lr=0.03, cfg=cfg)
+        ref = {k: v.copy() for k, v in start.items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v2 = {k: np.zeros_like(v) for k, v in ref.items()}
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=shape) for k, shape in shapes.items() if k != "unused"}
+            opt.zero_grad()
+            for k, g in grads.items():
+                params[k].grad = g.copy()
+            opt.step()
+            c1, c2 = 1.0 - cfg.beta1**t, 1.0 - cfg.beta2**t
+            for k in ref:
+                g = grads.get(k, np.zeros_like(ref[k]))  # `unused` keeps .grad None
+                m[k] = cfg.beta1 * m[k] + (1.0 - cfg.beta1) * g
+                v2[k] = cfg.beta2 * v2[k] + (1.0 - cfg.beta2) * g * g
+                ref[k] -= 0.03 * ((m[k] / c1) / (np.sqrt(v2[k] / c2) + cfg.eps) + cfg.weight_decay * ref[k])
+        assert params["unused"].grad is None
+        for k in ref:
+            assert params[k].data.shape == shapes[k]
+            assert params[k].data.tobytes() == ref[k].tobytes(), k
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AdamWConfig(beta1=1.0)
