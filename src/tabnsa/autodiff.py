@@ -180,6 +180,24 @@ def make_leaves(specs: dict, rng: np.random.Generator | int) -> dict[str, Tensor
     return leaves
 
 
+def flatten(arrays: Iterable[np.ndarray]) -> np.ndarray:
+    """The flat parameter layout: the arrays raveled and concatenated in
+    order into one new vector."""
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+def unflatten(params: dict[str, Tensor], vector: np.ndarray) -> None:
+    """The inverse of `flatten` over `params` in dict order: each leaf's
+    slice of `vector` is written into its existing `.data` in place."""
+    offset = 0
+    for p in params.values():
+        size = p.data.size
+        p.data[...] = vector[offset:offset + size].reshape(p.data.shape)
+        offset += size
+    if offset != len(vector):
+        raise ValueError(f"vector has {len(vector)} entries but the parameters hold {offset}")
+
+
 def _ensure(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 

@@ -243,28 +243,27 @@ class PreprocessState:
         )
 
 
-def _standardize(codes: np.ndarray, mean: float, std: float) -> np.ndarray:
-    if std < 1e-12:
-        return np.zeros_like(codes)
-    return (codes - mean) / std
-
-
-def _encode_feature(col: Column, st: dict, n_rows: int) -> np.ndarray:
+def _codes(values: list, st: dict) -> np.ndarray:
+    """The one cell -> number rule, shared by fitting and encoding. Numeric:
+    median-imputed. Categorical: first-appearance ordinals, with the reserved
+    code for missing and unseen values. Binary: {0, 1} by sorted value order,
+    with the fill for missing and unseen values."""
     if st["kind"] == NUMERIC:
-        vals = np.array([st["median"] if v is None else v for v in col.values], dtype=np.float64)
-        return _standardize(vals, st["mean"], st["std"])
+        return np.array([st["median"] if v is None else v for v in values], dtype=np.float64)
     if st["kind"] == CATEGORICAL:
         code_of = {cat: i for i, cat in enumerate(st["categories"])}
-        missing_code = len(st["categories"])
-        codes = np.array(
-            [missing_code if v is None else code_of.get(v, missing_code) for v in col.values],
-            dtype=np.float64,
-        )
-        return _standardize(codes, st["mean"], st["std"])
-    # binary: {0,1} by sorted-lexicographic value order, not standardized;
-    # missing and values the fit rows never saw take the fill
+        return np.array([code_of.get(v, len(code_of)) for v in values], dtype=np.float64)
     code_of = {st["zero"]: 0.0, st["one"]: 1.0}
-    return np.array([st["fill"] if v is None else code_of.get(v, st["fill"]) for v in col.values], dtype=np.float64)
+    return np.array([st["fill"] if v is None else code_of.get(v, st["fill"]) for v in values], dtype=np.float64)
+
+
+def _encode_feature(col: Column, st: dict) -> np.ndarray:
+    """Codes standardized by the fit-row mean and std (zero variance maps to
+    zeros); binary codes stay {0, 1}."""
+    codes = _codes(col.values, st)
+    if st["kind"] == BINARY:
+        return codes
+    return np.zeros_like(codes) if st["std"] < 1e-12 else (codes - st["mean"]) / st["std"]
 
 
 def _target_state(col: Column) -> dict:
@@ -291,15 +290,14 @@ def _encode_target(col: Column, target_state: dict) -> LabelVector:
 
 
 def preprocess(raw: RawTable, fit_on) -> tuple[FeatureMatrix, LabelVector, PreprocessState]:
-    """Fit imputation/encoding/standardization on fit_on rows; encode all rows.
+    """Fit each column's codebook on fit_on rows; encode all rows.
 
-    Numeric: median-impute then standardize (training-row statistics; zero
-    variance maps to all-zeros). Categorical: ordinal codes by first
-    appearance in fit rows, a reserved code for missing/unseen, then
-    standardized like numerics. Binary: {0,1} by sorted order of the fit-row
-    values (`one` is None when the fit rows hold one value), missing and
-    unseen values filled with the fit-row mode. Columns with no observed fit
-    value are dropped with a warning.
+    The codebook is the median (numeric), the categories in order of first
+    appearance (categorical), or zero/one/fill (binary: `one` is None when
+    the fit rows hold one value; the fill is the fit-row mode). Numeric and
+    categorical columns are standardized by the mean and std of the fit
+    rows' `_codes`, the encoding applied at eval. Columns with no observed
+    fit value are dropped with a warning.
     """
     fit_on = np.asarray(fit_on, dtype=np.intp)
     if fit_on.size == 0:
@@ -315,38 +313,17 @@ def preprocess(raw: RawTable, fit_on) -> tuple[FeatureMatrix, LabelVector, Prepr
             dropped.append(col.name)
             continue
         if col.kind == NUMERIC:
-            median = float(np.median(np.array(present, dtype=np.float64)))
-            imputed = np.array([median if v is None else v for v in fit_vals], dtype=np.float64)
-            features[col.name] = {
-                "kind": NUMERIC,
-                "median": median,
-                "mean": float(imputed.mean()),
-                "std": float(imputed.std()),
-            }
+            st = {"kind": NUMERIC, "median": float(np.median(np.array(present, dtype=np.float64)))}
         elif col.kind == CATEGORICAL:
-            categories: list[str] = []
-            seen = set()
-            for v in fit_vals:
-                if v is not None and v not in seen:
-                    seen.add(v)
-                    categories.append(v)
-            code_of = {cat: i for i, cat in enumerate(categories)}
-            missing_code = len(categories)
-            codes = np.array(
-                [missing_code if v is None or v not in code_of else code_of[v] for v in fit_vals],
-                dtype=np.float64,
-            )
-            features[col.name] = {
-                "kind": CATEGORICAL,
-                "categories": categories,
-                "mean": float(codes.mean()),
-                "std": float(codes.std()),
-            }
-        else:  # binary
+            st = {"kind": CATEGORICAL, "categories": list(dict.fromkeys(present))}
+        else:
             zero, one = (sorted(set(present)) + [None])[:2]
             ones = sum(1 for v in present if v == one)
-            fill = 1.0 if ones * 2 > len(present) else 0.0
-            features[col.name] = {"kind": BINARY, "zero": zero, "one": one, "fill": fill}
+            st = {"kind": BINARY, "zero": zero, "one": one, "fill": 1.0 if ones * 2 > len(present) else 0.0}
+        if col.kind != BINARY:
+            codes = _codes(fit_vals, st)
+            st.update(mean=float(codes.mean()), std=float(codes.std()))
+        features[col.name] = st
 
     state = PreprocessState(
         feature_names=[c.name for c in raw.feature_columns if c.name not in dropped],
@@ -365,7 +342,7 @@ def apply_preprocess(raw: RawTable, state: PreprocessState) -> tuple[FeatureMatr
     for name in state.feature_names:
         if name not in by_name:
             raise ValueError(f"fitted column {name!r} missing from table")
-        cols.append(_encode_feature(by_name[name], state.features[name], raw.n_rows))
+        cols.append(_encode_feature(by_name[name], state.features[name]))
     values = np.column_stack(cols) if cols else np.zeros((raw.n_rows, 0))
     labels = _encode_target(by_name[state.target["name"]], state.target)
     return FeatureMatrix(values, list(state.feature_names)), labels

@@ -12,13 +12,11 @@ recomputed in any order, including across worker threads.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import hashlib
 import json
 import math
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -154,15 +152,18 @@ def _draw_trial(
     base_train: TrainConfig | None,
 ):
     """A trial's (rng, ModelConfig, TrainConfig): the drawn attention config
-    in `model_template` (or default model fields) at the split's shape. The
-    returned generator goes on to initialize the trial's parameters."""
+    in `model_template` (or default model fields) at the split's shape, with
+    `num_selected` clamped to the selection blocks there are. The returned
+    generator goes on to initialize the trial's parameters."""
     trial_seed = derive_trial_seed(seed, trial_id)
     rng = np.random.default_rng(trial_seed)
     nsa, train_cfg = sample_config(space, rng, base_train)
+    shape = split.model_shape()
+    nsa = dataclasses.replace(nsa, num_selected=nsa.effective_selected(shape["num_tokens"]))
     if model_template is None:
-        model_cfg = ModelConfig(nsa=nsa, **split.model_shape())
+        model_cfg = ModelConfig(nsa=nsa, **shape)
     else:
-        model_cfg = dataclasses.replace(model_template, nsa=nsa, **split.model_shape())
+        model_cfg = dataclasses.replace(model_template, nsa=nsa, **shape)
     return rng, model_cfg, dataclasses.replace(train_cfg, seed=trial_seed)
 
 
@@ -255,33 +256,22 @@ def run_search(
         done = {rec.trial_id: rec for rec in load_trial_log(log_path) if drawn_again(rec)}
     pending = [t for t in range(budget) if t not in done]
 
-    # records are appended in trial-id order whatever order workers finish
-    # in: a finished record waits only for the earlier trials still running
-    log_lock = threading.Lock()
-    unwritten = collections.deque(pending)
-    held: dict[int, TrialRecord] = {}
-
     def execute(trial_id: int) -> TrialRecord:
-        rec = run_trial(trial_id, split, space, seed, model_template, base_train)
-        if log_path:
-            with log_lock, open(log_path, "a", encoding="utf-8") as fh:
-                held[trial_id] = rec
-                while unwritten and unwritten[0] in held:
-                    fh.write(held.pop(unwritten.popleft()).to_json() + "\n")
-        return rec
+        return run_trial(trial_id, split, space, seed, model_template, base_train)
 
     workers = _worker_count(max_workers)
-    if workers == 1 or len(pending) <= 1:
-        fresh = [execute(t) for t in pending]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fresh = list(pool.map(execute, pending))
+    fresh = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # both maps yield in trial-id order, whatever order trials finish in;
+        # the builtin one keeps a lone worker's trials on this thread
+        parallel = workers > 1 and len(pending) > 1
+        for rec in (pool.map if parallel else map)(execute, pending):
+            if log_path:
+                with open(log_path, "a", encoding="utf-8") as fh:
+                    fh.write(rec.to_json() + "\n")
+            fresh.append(rec)
     records = sorted(list(done.values()) + fresh, key=lambda r: r.trial_id)
-    best = records[0]
-    for rec in records[1:]:
-        if rec.val_metric > best.val_metric:
-            best = rec
-    return best, records
+    return max(records, key=lambda r: r.val_metric), records
 
 
 def refit_best(

@@ -292,13 +292,12 @@ def dense_attention_flops(config: ModelConfig, batch_size: int) -> int:
 
 def save_checkpoint(path: str, params: dict[str, Tensor], config: ModelConfig) -> None:
     """One JSON header line (version, config, parameter manifest) followed by
-    the concatenated little-endian float64 payload in manifest order."""
+    the flat parameter vector as little-endian float64, in manifest order."""
     manifest = [{"path": key, "shape": list(t.shape)} for key, t in params.items()]
     header = {"version": CHECKPOINT_VERSION, "config": config.to_dict(), "params": manifest}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n")
-        for t in params.values():
-            fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
+        fh.write(ad.flatten(t.data for t in params.values()).astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, Tensor], ModelConfig]:
@@ -318,16 +317,11 @@ def load_checkpoint(path: str) -> tuple[dict[str, Tensor], ModelConfig]:
         if got != want:
             message = f"checkpoint parameter {got[0]!r} {got[1]} disagrees with its config"
             raise ValueError(f"{message}, which expects {want[0]!r} {want[1]}")
-    params: dict[str, Tensor] = {}
-    offset = 0
-    for name, shape in expected:
-        nbytes = int(np.prod(shape)) * 8
-        chunk = blob[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise ValueError("checkpoint payload truncated")
-        offset += nbytes
-        data = np.frombuffer(chunk, dtype="<f8").reshape(shape).astype(np.float64)
-        params[name] = Tensor(data, requires_grad=True)
-    if offset != len(blob):
+    nbytes = 8 * sum(int(np.prod(shape)) for _, shape in expected)
+    if len(blob) < nbytes:
+        raise ValueError("checkpoint payload truncated")
+    if len(blob) > nbytes:
         raise ValueError("checkpoint payload has trailing bytes")
+    params = {name: Tensor(np.empty(shape), requires_grad=True) for name, shape in expected}
+    ad.unflatten(params, np.frombuffer(blob, dtype="<f8"))
     return params, config

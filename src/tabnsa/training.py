@@ -186,18 +186,17 @@ class AdamW:
     """Adam moment estimates with decoupled weight decay:
     p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p).
 
-    One step updates every parameter in one vectorized pass over their
-    concatenation, then writes each slice back into its `p.data` in place;
-    each element sees the same float operations as a per-parameter loop."""
+    One step updates every parameter in one vectorized pass over the flat
+    parameter vector, then writes it back into each `p.data` in place; each
+    element sees the same float operations as a per-parameter loop."""
 
     def __init__(self, params: dict[str, Tensor], lr: float, cfg: AdamWConfig | None = None):
         self.params = params
         self.lr = float(lr)
         self.cfg = cfg or AdamWConfig()
-        sizes = [p.data.size for p in params.values()]
-        self.offsets = np.cumsum(sizes)[:-1]
-        self.m = np.zeros(sum(sizes))
-        self.v = np.zeros(sum(sizes))
+        size = sum(p.data.size for p in params.values())
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
     def zero_grad(self) -> None:
@@ -209,16 +208,14 @@ class AdamW:
         b1, b2 = self.cfg.beta1, self.cfg.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        ps = list(self.params.values())
-        g = np.concatenate([grad_or_zero(p).ravel() for p in ps])
-        x = np.concatenate([p.data.ravel() for p in ps])
+        g = ad.flatten(grad_or_zero(p) for p in self.params.values())
+        x = ad.flatten(p.data for p in self.params.values())
         self.m = b1 * self.m + (1.0 - b1) * g
         self.v = b2 * self.v + (1.0 - b2) * g * g
         m_hat = self.m / c1
         v_hat = self.v / c2
         x -= self.lr * (m_hat / (np.sqrt(v_hat) + self.cfg.eps) + self.cfg.weight_decay * x)
-        for p, new in zip(ps, np.split(x, self.offsets)):
-            p.data[...] = new.reshape(p.data.shape)
+        ad.unflatten(self.params, x)
 
 
 class EarlyStopper:
@@ -229,7 +226,7 @@ class EarlyStopper:
         self.best_loss = np.inf
         self.best_epoch = 0
         self.bad_epochs = 0
-        self.snapshot: dict[str, np.ndarray] | None = None
+        self.snapshot: np.ndarray | None = None  # flat parameter vector
 
     def update(self, epoch: int, val_loss: float, params: dict[str, Tensor]) -> bool:
         """Record this epoch; True means patience is exhausted."""
@@ -237,15 +234,14 @@ class EarlyStopper:
             self.best_loss = val_loss
             self.best_epoch = epoch
             self.bad_epochs = 0
-            self.snapshot = {k: p.data.copy() for k, p in params.items()}
+            self.snapshot = ad.flatten(p.data for p in params.values())
             return False
         self.bad_epochs += 1
         return self.bad_epochs >= self.patience
 
     def restore(self, params: dict[str, Tensor]) -> None:
         if self.snapshot is not None:
-            for k, p in params.items():
-                p.data[...] = self.snapshot[k]
+            ad.unflatten(params, self.snapshot)
 
 
 # -- shared fit plumbing ---------------------------------------------------------
@@ -357,10 +353,12 @@ def lbfgs_minimize(
     toward the scaled identity before storage. After
     `max_consecutive_failures` line searches in a row fail, the best point
     so far is returned. `callback(step, x, f)` runs after each accepted
-    step; returning True stops the loop.
+    step; returning True stops the loop. A non-finite fun(x0) returns at once.
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     f, g = fun(x)
+    if not np.isfinite(f):
+        return LBFGSResult(x=x, fun=f, steps=0, converged=False, line_search_failures=0)
     pairs: list = []
     fails = 0
     steps = 0
@@ -417,18 +415,6 @@ def lbfgs_minimize(
     return LBFGSResult(x=x, fun=f, steps=steps, converged=converged, line_search_failures=fails)
 
 
-def _read_vec(params: dict, names: list) -> np.ndarray:
-    return np.concatenate([params[k].data.ravel() for k in names]) if names else np.zeros(0)
-
-
-def _write_vec(params: dict, names: list, vec: np.ndarray) -> None:
-    offset = 0
-    for k in names:
-        size = params[k].data.size
-        params[k].data[...] = vec[offset:offset + size].reshape(params[k].shape)
-        offset += size
-
-
 # -- the driver ------------------------------------------------------------------
 
 
@@ -445,6 +431,16 @@ def _check_model_shape(model_cfg: ModelConfig, split: DatasetSplit) -> None:
             raise ValueError(f"model {name} is {value!r} but the training data needs {derived[name]!r}")
 
 
+def _batch_loss(params, model_cfg, x, y, rows, weights) -> Tensor | None:
+    """The loss on `rows` (features `x`), or None on divergence: non-finite
+    logits or loss. Any other error is the caller's and propagates."""
+    logits = forward(x, params, model_cfg)
+    if not np.isfinite(logits.data).all():
+        return None
+    loss = _loss_tensor(logits, y, rows, weights)
+    return loss if np.isfinite(loss.item()) else None
+
+
 def _adamw_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch) -> None:
     """One seeded shuffled mini-batch pass per epoch."""
     opt = AdamW(params, cfg.lr, cfg.adamw)
@@ -455,53 +451,47 @@ def _adamw_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch)
         running = 0.0
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             rows = perm[start:start + cfg.batch_size]
-            try:
-                logits = forward(x[rows], params, model_cfg)
-                loss = _loss_tensor(logits, y, rows, weights)
-            except ValueError as err:
-                raise NanLossError(epoch, bi) from err
-            value = float(loss.item())
-            if not np.isfinite(value):
+            loss = _batch_loss(params, model_cfg, x[rows], y, rows, weights)
+            if loss is None:
                 raise NanLossError(epoch, bi)
             opt.zero_grad()
             loss.backward()
             opt.step()
-            running += value * rows.size
+            running += float(loss.item()) * rows.size
         if end_epoch(epoch, running / n):
             return
 
 
 def _lbfgs_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch) -> None:
-    """One accepted full-batch L-BFGS step per epoch."""
-    names = list(params)
+    """One accepted full-batch L-BFGS step per epoch; a non-finite start is
+    divergence in the first batch of epoch 1."""
     rows = np.arange(x.shape[0])
 
     def closure(vec):
-        _write_vec(params, names, vec)
+        ad.unflatten(params, vec)
         for p in params.values():
             p.grad = None
-        try:
-            logits = forward(x, params, model_cfg)
-            loss = _loss_tensor(logits, y, rows, weights)
-        except ValueError:
+        loss = _batch_loss(params, model_cfg, x, y, rows, weights)
+        if loss is None:
             return np.inf, np.zeros_like(vec)  # poisoned probe; line search rejects it
         loss.backward()
-        grad = np.concatenate([grad_or_zero(params[k]).ravel() for k in names])
-        return float(loss.item()), grad
+        return float(loss.item()), ad.flatten(grad_or_zero(p) for p in params.values())
 
     def on_step(step, vec, f):
-        _write_vec(params, names, vec)
+        ad.unflatten(params, vec)
         return end_epoch(step, f)
 
-    lbfgs_minimize(
+    result = lbfgs_minimize(
         closure,
-        _read_vec(params, names),
+        ad.flatten(p.data for p in params.values()),
         history=cfg.lbfgs.history,
         max_iters=cfg.max_epochs,
         grad_tol=cfg.lbfgs.tolerance,
         max_line_search=cfg.lbfgs.max_line_search,
         callback=on_step,
     )
+    if not np.isfinite(result.fun):
+        raise NanLossError(1, 0)
 
 
 def fit(params: dict, model_cfg: ModelConfig, split: DatasetSplit, cfg: TrainConfig):

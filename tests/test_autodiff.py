@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from tabnsa import autodiff as ad
 from tabnsa.autodiff import Tensor
+from tabnsa.model import ModelConfig, param_specs
+from tabnsa.nsa_attention import NSAConfig
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -432,6 +434,34 @@ class TestMakeLeaves:
         ref = np.random.default_rng(3)
         ref.uniform(-1.0, 1.0, size=2)
         assert rng.random() == ref.random()
+
+
+class TestFlatVector:
+    def test_round_trip_writes_in_place_in_param_specs_order(self):
+        nsa = NSAConfig(dim=8, heads=2, head_dim=4, window=3, compress_block=4, compress_stride=2,
+                        select_block=2, num_selected=2)
+        specs = param_specs(ModelConfig(nsa=nsa, num_tokens=5))
+        leaves = ad.make_leaves(specs, 4)
+        arrays = [t.data for t in leaves.values()]
+        vec = ad.flatten(arrays)
+        sizes = [int(np.prod(shape)) for shape, _ in specs.values()]
+        assert vec.shape == (sum(sizes),)
+        assert np.array_equal(vec, np.concatenate([a.ravel() for a in arrays]))
+        vec[0] += 1.0  # a copy: the leaves do not move with it
+        assert leaves[next(iter(specs))].data.flat[0] == vec[0] - 1.0
+
+        ad.unflatten(leaves, np.arange(vec.size, dtype=np.float64))
+        offset = 0
+        for (name, (shape, _)), size, before in zip(specs.items(), sizes, arrays):
+            assert leaves[name].data is before
+            assert np.array_equal(before, np.arange(offset, offset + size).reshape(shape))
+            offset += size
+        assert np.array_equal(ad.flatten(t.data for t in leaves.values()), np.arange(vec.size))
+
+    def test_length_mismatch_is_rejected(self):
+        leaves = ad.make_leaves({"w": ((2, 3), 0.5)}, 0)
+        with pytest.raises(ValueError, match="7 entries"):
+            ad.unflatten(leaves, np.zeros(7))
 
 
 @settings(max_examples=40, deadline=None)

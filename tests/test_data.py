@@ -118,15 +118,30 @@ class TestPreprocess:
         npt.assert_array_equal(mat.values[:, 0], [0.0, 0.0, 0.0, 0.0])
         assert D.PreprocessState.from_json(state.to_json()).to_json() == state.to_json()
 
-    def test_standardized_on_fit_rows(self):
+    @pytest.mark.parametrize("kind", ["numeric", "numeric_missing", "categorical_missing_unseen"])
+    def test_standardized_on_fit_rows(self, kind):
+        # fit statistics come from the same encoding applied at eval, so the
+        # fit rows come out exactly standardized whatever they hold
         rng = np.random.default_rng(3)
-        vals = list(rng.normal(5, 3, size=40))
-        t = simple_table({"a": (D.NUMERIC, vals), "y": (D.CATEGORICAL, ["p", "q"] * 20)})
+        if kind.startswith("numeric"):
+            vals = list(rng.normal(5, 3, size=40))
+            if kind == "numeric_missing":
+                vals[1] = vals[7] = vals[33] = None
+            column = (D.NUMERIC, vals)
+        else:
+            vals = list(rng.choice(["u", "v", "w"], size=40))
+            vals[2] = vals[9] = vals[35] = None
+            vals[31] = vals[38] = "unseen"
+            column = (D.CATEGORICAL, vals)
+        t = simple_table({"a": column, "y": (D.CATEGORICAL, ["p", "q"] * 20)})
         fit = list(range(30))
         mat, _, _ = D.preprocess(t, fit_on=fit)
         col = mat.values[fit, 0]
-        assert abs(col.mean()) < 1e-6
-        assert abs(col.std() - 1.0) < 1e-3
+        assert abs(col.mean()) < 1e-12
+        assert abs(col.std() - 1.0) < 1e-12
+        if kind == "categorical_missing_unseen":
+            # unseen values take the reserved code that missing fit cells took
+            assert mat.values[31, 0] == mat.values[38, 0] == mat.values[2, 0]
 
     def test_zero_variance_maps_to_zeros(self):
         t = simple_table({"a": (D.NUMERIC, [7.0, 7.0, 7.0]), "y": (D.CATEGORICAL, ["p", "q", "p"])})

@@ -7,6 +7,7 @@ import math
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -235,6 +236,17 @@ class TestRunSearch:
         logged = [json.loads(line)["trial_id"] for line in log.read_text().splitlines()]
         assert logged == list(range(budget))
         assert [r.trial_id for r in records] == list(range(budget))
+
+    def test_drawn_num_selected_is_clamped_silently(self):
+        # 4 tokens leave at most 2 selection blocks, below most num_selected draws
+        x, y = make_two_gaussians(60, 4, seed=22)
+        space = dataclasses.replace(NARROW_SPACE, num_selected=(1, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, records = run_search(make_split(x, y), space, 6, seed=12, base_train=FAST_TRAIN)
+        for rec in records:
+            nsa = ModelConfig.from_dict(rec.model).nsa
+            assert nsa.num_selected <= nsa.n_select_blocks(4)
 
     def test_changed_search_config_recomputes_logged_trials(self, gaussian_split, tmp_path):
         log = str(tmp_path / "trials.jsonl")

@@ -1,6 +1,7 @@
 """Source checks by ast: every name a package module imports is used somewhere
-in that module, the sparse-attention gathers stay off the slow numpy
-scatter and gather routines, and trainable leaves have one constructor."""
+in that module, every parameter a package function takes is read in its
+body, the sparse-attention gathers stay off the slow numpy scatter and
+gather routines, and trainable leaves have one constructor."""
 
 import ast
 from pathlib import Path
@@ -33,6 +34,38 @@ def test_no_unused_imports(path):
 
 def test_checker_flags_an_unused_name():
     assert unused_imports("import os\nfrom a import b as c, d\nd()\n") == ["line 1: os", "line 2: c"]
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of a function or lambda that its body (nested scopes
+    included) never reads; defaults and annotations do not count."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = fn.args
+        params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p is not None]
+        body = fn.body if isinstance(fn, ast.Lambda) else ast.Module(body=fn.body, type_ignores=[])
+        used = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+        name = getattr(fn, "name", "<lambda>")
+        found += [f"line {fn.lineno}: {name}({p})" for p in params if p not in used]
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_parameters(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_an_unread_parameter():
+    source = (
+        "def f(a, b=a, *args, c, **kw):\n    return a + c\n"
+        "def g(x, n: int):\n    def h():\n        return x\n    return h\n"
+        "k = lambda u, v: u\n"
+    )
+    assert unused_parameters(source) == [
+        "line 1: f(b)", "line 1: f(args)", "line 1: f(kw)", "line 3: g(n)", "line 7: <lambda>(v)",
+    ]
 
 
 def dotted_calls(source: str, function: str) -> set[str]:

@@ -367,6 +367,22 @@ class TestFitAdamW:
         with pytest.raises(NanLossError, match=r"epoch 1, batch 0"):
             fit(params, self.model_cfg, self.split, TrainConfig(batch_size=32, max_epochs=3, seed=3))
 
+    @pytest.mark.parametrize("optimizer", ["adamw", "lbfgs"])
+    @pytest.mark.parametrize("case", ["caller_bug", "infinite_start"])
+    def test_only_non_finite_values_count_as_divergence(self, optimizer, case):
+        cfg = TrainConfig(optimizer=optimizer, batch_size=32, max_epochs=3, seed=3)
+        if case == "caller_bug":
+            # parameters of another model: forward's error propagates, it is not divergence
+            other = dataclasses.replace(self.model_cfg, feature_id_embedding=False)
+            with pytest.raises(ValueError, match="feature_id"):
+                fit(init_model_params(other, np.random.default_rng(10)), self.model_cfg, self.split, cfg)
+        else:
+            params = init_model_params(self.model_cfg, np.random.default_rng(10))
+            params["head.b2"].data[...] = np.inf
+            with pytest.raises(NanLossError, match=r"epoch 1, batch 0") as err:
+                fit(params, self.model_cfg, self.split, cfg)
+            assert (err.value.epoch, err.value.batch_index) == (1, 0)
+
     def test_returned_weights_reproduce_best_val_loss(self):
         params, hist = self.run_fit(seed=11, max_epochs=12, patience=4)
         y_tr = self.split.train[1]
