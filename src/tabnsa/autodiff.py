@@ -395,6 +395,14 @@ def swapaxes(a, ax1: int, ax2: int) -> Tensor:
     return _node(a.data.swapaxes(ax1, ax2), (a,), lambda g: (g.swapaxes(ax1, ax2),))
 
 
+def split_heads(flat, heads: int) -> Tensor:
+    """(B, N, H*Dh) -> C-contiguous (B, H, N, Dh), one transpose copy."""
+    flat = _ensure(flat)
+    b, n, width = flat.data.shape
+    data = np.ascontiguousarray(flat.data.reshape(b, n, heads, width // heads).transpose(0, 2, 1, 3))
+    return _node(data, (flat,), lambda g: (g.transpose(0, 2, 1, 3).reshape(b, n, width),))
+
+
 def concatenate(tensors: Iterable, axis: int = -1) -> Tensor:
     ts = [_ensure(t) for t in tensors]
     data = np.concatenate([t.data for t in ts], axis=axis)
@@ -428,11 +436,11 @@ def gather_blocks(t, idx: np.ndarray) -> Tensor:
     """Gather (possibly overlapping) token blocks shared across batch and head.
 
     t: (B, H, N, Dh); idx: int array (M, L) of token positions.
-    Returns (B, H, M, L, Dh) with out[b,h,m,j] = t[b,h,idx[m,j]].
+    Returns a C-contiguous (B, H, M, L, Dh) with out[b,h,m,j] = t[b,h,idx[m,j]].
     """
     t = _ensure(t)
     idx = np.asarray(idx, dtype=np.intp)
-    data = t.data[:, :, idx, :]
+    data = t.data.take(idx, axis=2)
     B, H, N, Dh = t.data.shape
 
     def vjp(g):
@@ -446,21 +454,21 @@ def gather_selected(t, idx: np.ndarray) -> Tensor:
     """Gather per-sample, per-query token positions, shared across heads.
 
     t: (B, H, N, Dh); idx: int array (B, T, S) of token positions for each of
-    T queries. Returns (B, H, T, S, Dh) with out[b,h,t,s] = t[b,h,idx[b,t,s]].
-    Whole token rows (all heads) are copied once per (sample, query, slot)
-    from the (B, N, H*Dh) layout the projections produce.
+    T queries. Returns a C-contiguous (B, H, T, S, Dh) with
+    out[b,h,t,s] = t[b,h,idx[b,t,s]]: one `take` of Dh-wide rows at flat
+    offsets (b*H + h)*N + idx[b,t,s] of the contiguous (B*H*N, Dh) layout.
     """
     t = _ensure(t)
     idx = np.asarray(idx, dtype=np.intp)
     B, H, N, Dh = t.data.shape
     _, T, S = idx.shape
-    rows = t.data.swapaxes(1, 2).reshape(B, N, H * Dh)[np.arange(B)[:, None, None], idx]  # (B, T, S, H*Dh)
-    data = np.ascontiguousarray(rows.reshape(B, T, S, H, Dh).transpose(0, 3, 1, 2, 4))
+    offsets = (np.arange(B)[:, None] * H + np.arange(H)) * N  # (B, H)
+    rows = np.ascontiguousarray(t.data).reshape(B * H * N, Dh)
+    data = rows.take(offsets[:, :, None, None] + idx[:, None], axis=0)
 
     def vjp(g):
-        onehot = (np.arange(N)[:, None] == idx.reshape(B, 1, T * S)).astype(np.float64)  # (B, N, T*S)
-        grows = onehot @ g.transpose(0, 2, 3, 1, 4).reshape(B, T * S, H * Dh)
-        return (grows.reshape(B, N, H, Dh).swapaxes(1, 2),)
+        onehot = (np.arange(N)[:, None] == idx.reshape(B, 1, 1, T * S)).astype(np.float64)  # (B, 1, N, T*S)
+        return (onehot @ g.reshape(B, H, T * S, Dh),)
 
     return _node(data, (t,), vjp)
 

@@ -213,12 +213,19 @@ def best_so_far_curve(records: list[TrialRecord]) -> list[float]:
 
 
 def _worker_count(max_workers: int | None) -> int:
+    """`max_workers` (at least 1) if given, else THREADS_ENV_VAR, else 1."""
     if max_workers is not None:
         return max(1, max_workers)
     env = os.environ.get(THREADS_ENV_VAR, "").strip()
-    if env:
-        return max(1, int(env))
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
+    return workers
 
 
 def run_search(
@@ -243,6 +250,7 @@ def run_search(
         raise ValueError("budget must be >= 1")
     if split.train[1].task != "classification":
         raise ValueError("search maximizes a classification metric; got a regression task")
+    workers = _worker_count(max_workers)
 
     def drawn_again(rec: TrialRecord) -> bool:
         if not 0 <= rec.trial_id < budget:
@@ -259,7 +267,6 @@ def run_search(
     def execute(trial_id: int) -> TrialRecord:
         return run_trial(trial_id, split, space, seed, model_template, base_train)
 
-    workers = _worker_count(max_workers)
     fresh = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # both maps yield in trial-id order, whatever order trials finish in;

@@ -13,6 +13,7 @@ Gate order convention everywhere: index 0 = compression, 1 = selection,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -103,16 +104,11 @@ def _phi(params: dict, which: str) -> dict:
 
 
 def project_qkv(x: Tensor, params: dict, cfg: NSAConfig):
-    """(B, N, D) -> three (B, H, N, D_H) projections, bias-free."""
-    b, n, d = x.shape
+    """(B, N, D) -> three C-contiguous (B, H, N, D_H) projections, bias-free."""
+    _, _, d = x.shape
     if d != cfg.dim:
         raise ValueError(f"input width {d} != config dim {cfg.dim}")
-
-    def heads(w):
-        flat = x @ w  # (B, N, H*Dh)
-        return flat.reshape(b, n, cfg.heads, cfg.head_dim).swapaxes(1, 2)
-
-    return heads(params["w_q"]), heads(params["w_k"]), heads(params["w_v"])
+    return tuple(ad.split_heads(x @ params[w], cfg.heads) for w in ("w_q", "w_k", "w_v"))
 
 
 def compress_tokens(kv: Tensor, cfg: NSAConfig, phi: dict | None) -> Tensor:
@@ -147,10 +143,12 @@ def compression_scores(q: Tensor, k_cmp: Tensor, valid: np.ndarray | None = None
     return ad.attention_weights(q, k_cmp, valid)
 
 
+@lru_cache(maxsize=256)
 def selection_map_matrix(cfg: NSAConfig, n_cmp: int, n_slc: int) -> np.ndarray:
     """(n_cmp, n_slc) weights: entry [i, j] counts the (m, n) pairs with
     (l'/d)*j - m - n = i, m < l'/d, n < l/d. Out-of-range compressed indices
-    contribute nothing, so a padded tail selection block scores 0."""
+    contribute nothing, so a padded tail selection block scores 0. Cached
+    per argument tuple and read-only."""
     ratio_sel = cfg.select_block // cfg.compress_stride
     ratio_cmp = cfg.compress_block // cfg.compress_stride
     w = np.zeros((n_cmp, n_slc))
@@ -160,6 +158,7 @@ def selection_map_matrix(cfg: NSAConfig, n_cmp: int, n_slc: int) -> np.ndarray:
                 i = ratio_sel * j - m - n
                 if 0 <= i < n_cmp:
                     w[i, j] += 1.0
+    w.flags.writeable = False
     return w
 
 
@@ -205,21 +204,25 @@ def select_blocks(
     return blocks[:, None, :, :], k_slc, v_slc, tok_safe, valid
 
 
+@lru_cache(maxsize=256)
 def window_indices(n_tokens: int, w: int, causal: bool):
     """Per-query window token positions (N, w_eff) plus validity mask.
 
     Causal: tokens [max(0, t-w+1), t]. Non-causal: w tokens centered at t,
     shifted to stay inside [0, N); with w >= N every token is visible.
+    Cached per argument tuple; both arrays are read-only.
     """
     w_eff = min(w, n_tokens)
     t = np.arange(n_tokens)[:, None]
     s = np.arange(w_eff)[None, :]
     if causal:
         pos = t - (w_eff - 1) + s
-        valid = pos >= 0
-        return np.maximum(pos, 0), valid
-    start = np.clip(t - (w_eff - 1) // 2, 0, n_tokens - w_eff)
-    return start + s, np.ones((n_tokens, w_eff), dtype=bool)
+        idx, valid = np.maximum(pos, 0), pos >= 0
+    else:
+        start = np.clip(t - (w_eff - 1) // 2, 0, n_tokens - w_eff)
+        idx, valid = start + s, np.ones((n_tokens, w_eff), dtype=bool)
+    idx.flags.writeable = valid.flags.writeable = False
+    return idx, valid
 
 
 def _per_query_attention(q: Tensor, keys: Tensor, values: Tensor, valid: np.ndarray | None):

@@ -135,10 +135,12 @@ class TrainHistory:
 
 
 def weighted_cross_entropy(logits: Tensor, labels, weights=None) -> Tensor:
-    """Mean over the batch of w_{y_b} * (-log softmax(logits_b)[y_b]).
+    """Mean over the batch of w_{y_b} * (-log softmax(logits_b)[y_b]), as one node.
 
     The log-sum-exp is shifted by the per-row max (held constant) so the
-    loss and its gradient stay finite for any finite logits.
+    loss and its gradient stay finite for any finite logits. The gradient
+    is the closed form w_{y_b}/B * (softmax(logits_b) - onehot(y_b)),
+    evaluated in the order the composed exp/sum/log/gather graph would.
     """
     if not np.isfinite(logits.data).all():
         raise ValueError("non-finite logits")
@@ -150,15 +152,30 @@ def weighted_cross_entropy(logits: Tensor, labels, weights=None) -> Tensor:
         raise ValueError(f"expected {b} labels, got shape {labels.shape}")
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError("label outside [0, num_classes)")
-    shift = Tensor(logits.data.max(axis=1, keepdims=True))
-    z = logits - shift
-    nll = ad.log(ad.exp(z).sum(axis=1)) - z[np.arange(b), labels]
+    row_weight = None
     if weights is not None:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (c,):
             raise ValueError(f"expected {c} class weights, got shape {w.shape}")
-        nll = nll * Tensor(w[labels])
-    return nll.mean()
+        row_weight = w[labels]
+    rows = np.arange(b)
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1)
+    nll = np.log(total) - z[rows, labels]
+    if row_weight is not None:
+        nll = nll * row_weight
+    data = nll.mean()
+
+    def vjp(g):
+        gn = np.broadcast_to(g, (b,)) / b
+        if row_weight is not None:
+            gn = gn * row_weight
+        gz = (gn / total)[:, None] * e
+        gz[rows, labels] -= gn
+        return (gz,)
+
+    return ad._node(data, (logits,), vjp)
 
 
 def mse_loss(pred: Tensor, targets) -> Tensor:

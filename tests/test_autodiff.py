@@ -130,6 +130,14 @@ class TestMatmulAndShape:
         check_grad(lambda t: (t.reshape(6, 4) ** 2).sum(), a)
         check_grad(lambda t: (t.swapaxes(-1, -2) * 3.0).sum(), a)
 
+    def test_split_heads_is_a_contiguous_head_major_copy(self):
+        a = RNG.normal(size=(2, 5, 6))
+        out = ad.split_heads(Tensor(a), 3).numpy()
+        assert out.flags.c_contiguous
+        npt.assert_array_equal(out, a.reshape(2, 5, 3, 2).swapaxes(1, 2))
+        w = RNG.normal(size=(2, 3, 5, 2))
+        check_grad(lambda t: (ad.split_heads(t, 3) * Tensor(w)).sum(), a)
+
     def test_concatenate(self):
         a = RNG.normal(size=(2, 3))
         b = RNG.normal(size=(2, 5))
@@ -252,6 +260,25 @@ class TestGatherExactness:
         out.backward(g)
         index = (np.arange(b)[:, None, None, None], np.arange(h)[None, :, None, None], idx[:, None])
         npt.assert_allclose(x.grad, scatter_add_at(x.shape, index, g), rtol=1e-13)
+
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "swapaxes_view"])
+    def test_gathers_return_contiguous_copies(self, strided):
+        b, h, n, dh = 3, 2, 7, 4
+        x = RNG.normal(size=(b, n, h, dh)).swapaxes(1, 2) if strided else RNG.normal(size=(b, h, n, dh))
+        assert x.flags.c_contiguous != strided
+        idx = RNG.integers(0, n, size=(b, n, 4))
+        leaf = Tensor(x, requires_grad=True)
+        sel = ad.gather_selected(leaf, idx)
+        assert sel.data.flags.c_contiguous
+        npt.assert_array_equal(sel.data, gather_selected_loop(x, idx))
+        g = RNG.normal(size=sel.shape)
+        sel.backward(g)
+        index = (np.arange(b)[:, None, None, None], np.arange(h)[None, :, None, None], idx[:, None])
+        npt.assert_allclose(leaf.grad, scatter_add_at(x.shape, index, g), rtol=1e-13)
+        win = np.minimum(np.arange(n)[:, None] + np.arange(3), n - 1)
+        blocks = ad.gather_blocks(Tensor(x), win).numpy()
+        assert blocks.flags.c_contiguous
+        npt.assert_array_equal(blocks, x[:, :, win])
 
     def test_gather_blocks_vjp_matches_add_at(self):
         b, h, n, dh = 3, 2, 15, 4

@@ -24,7 +24,7 @@ COMPONENTS = (
     "qkv_proj", "compression_phi", "attention_compression", "selection_scoring",
     "attention_selection", "attention_window", "gated_combine", "tabmixer",
 )
-TAPE_NODE_BUDGET = 110
+TAPE_NODE_BUDGET = 100
 
 
 def default_config() -> ModelConfig:

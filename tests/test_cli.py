@@ -169,6 +169,14 @@ class TestExitCodes:
         assert main(["flops", "--config", str(p)]) == 2
         assert "train.loss: unknown config field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_thread_count_names_the_variable(self, value, fast_config, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv(THREADS_ENV_VAR, value)
+        out = tmp_path / "tuned"
+        assert main(["tune", "--config", fast_config, "--out", str(out), "--budget", "2"]) == 2
+        assert f"{THREADS_ENV_VAR} must be a positive integer, got {value!r}" in capsys.readouterr().err
+        assert not (out / "trials.jsonl").exists()
+
     def test_bad_seed_list(self, fast_config, tmp_path, capsys):
         code = main(["train", "--config", fast_config, "--out", str(tmp_path / "o"), "--seeds", "9..1"])
         assert code == 2

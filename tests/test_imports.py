@@ -1,7 +1,8 @@
 """Source checks by ast: every name a package module imports is used somewhere
 in that module, every parameter a package function takes is read in its
-body, the sparse-attention gathers stay off the slow numpy scatter and
-gather routines, and trainable leaves have one constructor."""
+body, the sparse-attention gathers, the head split and the loss stay off
+the slow numpy scatter and gather routines, and trainable leaves have one
+constructor."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,11 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tabnsa"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 SLOW_CALLS = {"np.add.at", "np.take_along_axis"}
+# hot-path function -> the package module defining it
+SLOW_CALL_FREE = {
+    "gather_blocks": "autodiff", "gather_selected": "autodiff", "split_heads": "autodiff",
+    "weighted_cross_entropy": "training",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -68,22 +74,24 @@ def test_checker_flags_an_unread_parameter():
     ]
 
 
-def dotted_calls(source: str, function: str) -> set[str]:
-    """Dotted names called anywhere inside the top-level function `function`."""
-    tree = ast.parse(source)
+def dotted_calls(module: Path, function: str) -> set[str]:
+    """Dotted names called anywhere inside the top-level function `function`
+    of the module at `module`."""
+    tree = ast.parse(module.read_text(encoding="utf-8"))
     (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function]
     return {ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)}
 
 
-@pytest.mark.parametrize("function", ["gather_blocks", "gather_selected"])
+@pytest.mark.parametrize("function", sorted(SLOW_CALL_FREE))
 def test_gathers_avoid_slow_numpy_calls(function):
-    calls = dotted_calls((PACKAGE / "autodiff.py").read_text(encoding="utf-8"), function)
+    calls = dotted_calls(PACKAGE / f"{SLOW_CALL_FREE[function]}.py", function)
     assert not calls & SLOW_CALLS
 
 
-def test_call_finder_sees_nested_calls():
-    source = "def f(t):\n    def vjp(g):\n        np.add.at(t, 0, g)\n    return np.take_along_axis(t, i, 0)\n"
-    assert dotted_calls(source, "f") >= SLOW_CALLS
+def test_call_finder_sees_nested_calls(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def f(t):\n    def vjp(g):\n        np.add.at(t, 0, g)\n    return np.take_along_axis(t, i, 0)\n")
+    assert dotted_calls(module, "f") >= SLOW_CALLS
 
 
 def leaf_constructors(source: str) -> set[str]:

@@ -278,6 +278,30 @@ class TestSelectBlocks:
         assert valid.all()
 
 
+class TestIndexPlans:
+    def test_projections_are_contiguous_head_major(self):
+        cfg = small_cfg()
+        params = nsa.init_nsa_params(cfg, RNG)
+        x = RNG.normal(size=(3, 5, 8))
+        outs = nsa.project_qkv(Tensor(x), params, cfg)
+        for t, w in zip(outs, ("w_q", "w_k", "w_v")):
+            assert t.shape == (3, 2, 5, 4) and t.data.flags.c_contiguous
+            npt.assert_array_equal(t.data, (x @ params[w].data).reshape(3, 5, 2, 4).swapaxes(1, 2))
+
+    @pytest.mark.parametrize(
+        "plan,args",
+        [(nsa.window_indices, (10, 3, True)), (nsa.window_indices, (10, 3, False)),
+         (nsa.selection_map_matrix, (small_cfg(), 4, 5))],
+        ids=["window_causal", "window", "selection_map"],
+    )
+    def test_cached_and_read_only(self, plan, args):
+        first = plan(*args)
+        assert plan(*args) is first
+        for arr in first if isinstance(first, tuple) else (first,):
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
+
 class TestWindowIndices:
     def test_causal_worked_example(self):
         idx, valid = nsa.window_indices(10, 3, causal=True)

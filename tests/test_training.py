@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import fd_param_check
+from loss_oracle import composed_weighted_cross_entropy
 from tabnsa import training
 from tabnsa.autodiff import Tensor
 from tabnsa.data import DatasetSplit, FeatureMatrix, LabelVector, make_two_gaussians
@@ -102,6 +104,33 @@ class TestWeightedCrossEntropy:
         loss.backward()
         assert np.isfinite(loss.item())
         assert np.isfinite(logits.grad).all()
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_fused_node_is_bit_identical_to_composed_ops(self, weighted):
+        rng = np.random.default_rng(3 + weighted)
+        for case in range(100):
+            b, c = rng.integers(1, 40), rng.integers(2, 6)
+            z = rng.uniform(-1.0, 1.0, size=(b, c)) * 10.0 ** rng.uniform(-2.0, np.log10(300.0))
+            labels = rng.integers(0, c, size=b)
+            w = rng.uniform(0.1, 3.0, size=c) if weighted else None
+            results = []
+            for loss_fn in (weighted_cross_entropy, composed_weighted_cross_entropy):
+                logits = Tensor(z.copy(), requires_grad=True)
+                loss = loss_fn(logits, labels, w)
+                loss.backward()
+                results.append((loss.data, logits.grad))
+            (fused, fused_grad), (composed, composed_grad) = results
+            np.testing.assert_array_equal(fused, composed, err_msg=f"case {case}")
+            np.testing.assert_array_equal(fused_grad, composed_grad, err_msg=f"case {case}")
+
+    def test_fused_node_is_one_tape_node_with_finite_difference_gradient(self):
+        rng = np.random.default_rng(5)
+        params = {"logits": Tensor(rng.normal(size=(6, 3)), requires_grad=True)}
+        labels, w = rng.integers(0, 3, size=6), np.array([0.5, 2.0, 1.25])
+        loss = weighted_cross_entropy(params["logits"], labels, w)
+        assert loss._parents == (params["logits"],)
+        fd_param_check(lambda: weighted_cross_entropy(params["logits"], labels, w), params, rng, samples=None,
+                       h=1e-6, tol=1e-6)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
