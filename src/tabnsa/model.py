@@ -41,6 +41,9 @@ SOFTMAX_FLOPS_PER_ELEMENT = 5
 NORM_FLOPS_PER_ELEMENT = 5
 ACT_FLOPS_PER_ELEMENT = 1
 
+# rows per pass of a tape-free forward
+TILE_ROWS = 128
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -176,12 +179,23 @@ def mean_pool(t: Tensor) -> Tensor:
 
 
 def forward(x: np.ndarray, params: dict, config: ModelConfig) -> Tensor:
-    """Logits (B, C), or (B, 1) for regression."""
+    """Logits (B, C), or (B, 1) for regression.
+
+    With no tape recorded, the rows run in order in tiles of `TILE_ROWS`,
+    so the peak memory of a forward is set by the config, not by B.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.num_tokens:
         raise ValueError(f"expected input shape (batch, {config.num_tokens}), got {x.shape}")
     if ("feature_id" in params) != config.feature_id_embedding:
         raise ValueError("feature_id table presence does not match config.feature_id_embedding")
+    if ad._grad_enabled() or x.shape[0] <= TILE_ROWS:
+        return _forward(x, params, config)
+    tiles = [_forward(x[i:i + TILE_ROWS], params, config).data for i in range(0, x.shape[0], TILE_ROWS)]
+    return Tensor(np.concatenate(tiles))
+
+
+def _forward(x: np.ndarray, params: dict, config: ModelConfig) -> Tensor:
     t = embed_features(x, params)
     for i in range(config.num_blocks):
         block = _subview(params, f"blocks.{i}.")

@@ -15,6 +15,7 @@ import tabnsa.autodiff
 import tabnsa.model
 import tabnsa.nsa_attention
 import tabnsa.tabmixer
+import tabnsa.training
 from tabnsa.model import ModelConfig, forward, init_model_params
 from tabnsa.nsa_attention import NSAConfig
 from tabnsa.training import weighted_cross_entropy
@@ -83,3 +84,35 @@ def test_training_step_tape_fits_the_node_budget():
     x, y = rng.normal(size=(32, config.num_tokens)), rng.integers(0, 2, size=32)
     loss = weighted_cross_entropy(forward(x, params, config), y, np.array([0.9, 1.1]))
     assert tape_nodes(loss) <= TAPE_NODE_BUDGET
+
+
+def test_tape_free_request_is_one_forward_call(monkeypatch):
+    """The benchmark names its forward spans by the batch of each call
+    through `model.forward` (which `training` imports): tiling must not add
+    calls there."""
+    config = default_config()
+    params = init_model_params(config, 0)
+    batches = []
+
+    def counting(x, *args, _fn=forward, **kwargs):
+        batches.append(np.shape(x)[0])
+        return _fn(x, *args, **kwargs)
+
+    monkeypatch.setattr(tabnsa.model, "forward", counting)
+    monkeypatch.setattr(tabnsa.training, "forward", counting)
+    x = np.random.default_rng(2).normal(size=(1024, config.num_tokens))
+    assert tabnsa.training.predict_proba(params, config, x).shape == (1024, 2)
+    assert batches == [1024]
+
+
+def test_grad_mode_forward_is_one_untiled_pass():
+    config = default_config()
+    params = init_model_params(config, 0)
+    x = np.random.default_rng(3).normal(size=(300, config.num_tokens))
+    calls = load_probes()._capture(tabnsa, x, params, config)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "project_qkv": 1, "compress_tokens": 2, "compression_scores": 1, "map_selection_scores": 1,
+        "select_blocks": 1, "_per_query_attention": 2, "gated_combine": 1, "tabmixer_forward": 1,
+    }
+    assert calls["project_qkv"][0][0]["x"].shape[0] == 300
+    assert tape_nodes(forward(x, params, config)) == tape_nodes(forward(x[:32], params, config))

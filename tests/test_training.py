@@ -3,6 +3,7 @@ stopping, the mini-batch driver, and the L-BFGS core on standard benchmarks."""
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from loss_oracle import composed_weighted_cross_entropy
 from tabnsa import training
 from tabnsa.autodiff import Tensor
 from tabnsa.data import DatasetSplit, FeatureMatrix, LabelVector, make_two_gaussians
-from tabnsa.model import ModelConfig, forward, init_model_params
+from tabnsa.model import TILE_ROWS, ModelConfig, forward, init_model_params
 from tabnsa.nsa_attention import NSAConfig
 from tabnsa.training import (
     AdamW,
@@ -596,3 +597,66 @@ class TestFitLBFGS:
         assert runs[0][0] == runs[1][0]
         for k in runs[0][1]:
             assert np.array_equal(runs[0][1][k], runs[1][1][k])
+
+
+def benchmark_config(regression=False, heads=2, head_dim=8, compress_block=4):
+    """15 tokens, fusion o: the benchmark's default geometry unless resized."""
+    nsa = NSAConfig(
+        dim=heads * head_dim, heads=heads, head_dim=head_dim, window=3,
+        compress_block=compress_block, compress_stride=2, select_block=2, num_selected=2,
+    )
+    return ModelConfig(nsa=nsa, num_tokens=15, num_classes=1 if regression else 2, regression=regression)
+
+
+class TestTiledInference:
+    """A tape-free forward runs in tiles of TILE_ROWS rows; a grad-mode
+    forward over the same rows is one un-tiled pass."""
+
+    @pytest.mark.parametrize("regression", [False, True], ids=["proba", "values"])
+    @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 300, 1024])
+    def test_predictions_match_one_untiled_pass(self, rows, regression):
+        cfg = benchmark_config(regression)
+        params = init_model_params(cfg, 0)
+        x = np.random.default_rng(rows).normal(size=(rows, 15))
+        logits = forward(x, params, cfg).data  # grad mode: one pass
+        predict = training.predict_values if regression else training.predict_proba
+        got = predict(params, cfg, x)
+        want = logits.reshape(-1) if regression else np_softmax(logits)
+        assert got.shape == want.shape == ((rows,) if regression else (rows, 2))
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12
+        assert np.array_equal(got, predict(params, cfg, x))
+
+    def test_validation_loss_matches_one_untiled_pass(self):
+        cfg = benchmark_config()
+        params = init_model_params(cfg, 1)
+        rng = np.random.default_rng(2)
+        x, y = rng.normal(size=(300, 15)), rng.integers(0, 2, size=300)
+        labels = LabelVector(y, "classification", num_classes=2, class_names=["c0", "c1"])
+        weights = np.array([0.8, 1.2])
+        loss, _ = evaluate_loss_metric(params, cfg, x, labels, weights)
+        want = weighted_cross_entropy(forward(x, params, cfg), y, weights).item()
+        assert abs(loss - want) <= 1e-12
+
+    def test_non_finite_feature_in_last_tile_is_rejected(self):
+        cfg = benchmark_config()
+        params = init_model_params(cfg, 0)
+        x = np.random.default_rng(3).normal(size=(300, 15))
+        x[-1, 4] = np.nan
+        with pytest.raises(ValueError, match="feature matrix contains non-finite values"):
+            training.predict_proba(params, cfg, x)
+
+    @pytest.mark.parametrize("geometry", [(2, 8, 4), (4, 24, 8)], ids=["default", "mid"])
+    def test_peak_memory_does_not_grow_with_the_request(self, geometry):
+        cfg = benchmark_config(False, *geometry)
+        params = init_model_params(cfg, 0)
+        x = np.random.default_rng(4).normal(size=(4 * TILE_ROWS, 15))
+        training.predict_proba(params, cfg, x[:TILE_ROWS])  # builds the cached index plans
+        peaks = []
+        for rows in (TILE_ROWS, 4 * TILE_ROWS):
+            tracemalloc.start()
+            try:
+                training.predict_proba(params, cfg, x[:rows])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
