@@ -1,8 +1,13 @@
 """Reverse-mode automatic differentiation on float64 numpy arrays.
 
 A Tensor records the operations that produced it; backward() walks the tape
-in reverse topological order and accumulates gradients into .grad. Only the
-primitives needed by this package are provided.
+in reverse topological order. A leaf (a tensor no recorded operation made)
+accumulates its gradient into .grad across backward calls. A non-leaf
+node's .grad is set back to None as soon as its VJP has run, so a walk holds
+only the gradients still waiting to be passed on, and a later backward
+through the same graph counts each path once. The saved activations live as
+long as the graph does: drop the last reference to the output to free them.
+Only the primitives needed by this package are provided.
 """
 
 from __future__ import annotations
@@ -116,7 +121,9 @@ class Tensor:
         for node in reversed(order):
             if node._backward is None or node.grad is None:
                 continue
-            for parent, pg in zip(node._parents, node._backward(node.grad)):
+            # a non-leaf gradient is spent once its VJP has run
+            g, node.grad = node.grad, None
+            for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 parent.grad = pg if parent.grad is None else parent.grad + pg
@@ -138,9 +145,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -180,10 +184,10 @@ def make_leaves(specs: dict, rng: np.random.Generator | int) -> dict[str, Tensor
     return leaves
 
 
-def flatten(arrays: Iterable[np.ndarray]) -> np.ndarray:
+def flatten(arrays: Iterable[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
     """The flat parameter layout: the arrays raveled and concatenated in
-    order into one new vector."""
-    return np.concatenate([np.ravel(a) for a in arrays])
+    order into one new vector, or into `out` when it is given."""
+    return np.concatenate([np.ravel(a) for a in arrays], out=out)
 
 
 def unflatten(params: dict[str, Tensor], vector: np.ndarray) -> None:
@@ -229,13 +233,6 @@ def mul(a, b) -> Tensor:
         (a, b),
         lambda g: (_unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)),
     )
-
-
-def power(a, p: float) -> Tensor:
-    a = _ensure(a)
-    p = float(p)
-    data = a.data**p
-    return _node(data, (a,), lambda g: (g * p * a.data ** (p - 1.0),))
 
 
 def matmul(a, b) -> Tensor:
@@ -301,17 +298,6 @@ def layer_norm(x, scale, shift, eps: float) -> Tensor:
 
 
 # -- elementwise nonlinearities ------------------------------------------
-
-
-def exp(a) -> Tensor:
-    a = _ensure(a)
-    data = np.exp(a.data)
-    return _node(data, (a,), lambda g: (g * data,))
-
-
-def log(a) -> Tensor:
-    a = _ensure(a)
-    return _node(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def sigmoid(a) -> Tensor:

@@ -203,36 +203,61 @@ class AdamW:
     """Adam moment estimates with decoupled weight decay:
     p -= lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * p).
 
-    One step updates every parameter in one vectorized pass over the flat
-    parameter vector, then writes it back into each `p.data` in place; each
-    element sees the same float operations as a per-parameter loop."""
+    One step copies the gradients and parameters into persistent flat
+    buffers, updates them in place in chunks of `CHUNK` elements, then
+    writes the parameters back into each `p.data` in place. Each element
+    sees the same float operations, in the same order, as a per-parameter
+    loop. Only the first step allocates anything parameter-sized."""
+
+    CHUNK = 32768
 
     def __init__(self, params: dict[str, Tensor], lr: float, cfg: AdamWConfig | None = None):
         self.params = params
         self.lr = float(lr)
         self.cfg = cfg or AdamWConfig()
-        size = sum(p.data.size for p in params.values())
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
         self.t = 0
+        self.m = self.v = None  # allocated by the first step
+
+    def _allocate(self) -> None:
+        """The moments, the flat gradient and parameter buffers and the chunk
+        scratch as one zeroed block. The first step makes it while its tape
+        is alive, so the block lands above that tape in the heap and the
+        allocator keeps the tape's freed pages for the next step instead of
+        handing them back to the system at every step boundary."""
+        n = sum(p.data.size for p in self.params.values())
+        c = min(n, self.CHUNK)
+        block = np.zeros(4 * n + 2 * c)
+        self.m, self.v, self._grad, self._flat = block[:4 * n].reshape(4, n)
+        self._scratch = block[4 * n:].reshape(2, c)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
     def step(self) -> None:
+        if self.m is None:
+            self._allocate()
         self.t += 1
-        b1, b2 = self.cfg.beta1, self.cfg.beta2
+        b1, b2, eps, wd, lr = self.cfg.beta1, self.cfg.beta2, self.cfg.eps, self.cfg.weight_decay, self.lr
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
-        g = ad.flatten(grad_or_zero(p) for p in self.params.values())
-        x = ad.flatten(p.data for p in self.params.values())
-        self.m = b1 * self.m + (1.0 - b1) * g
-        self.v = b2 * self.v + (1.0 - b2) * g * g
-        m_hat = self.m / c1
-        v_hat = self.v / c2
-        x -= self.lr * (m_hat / (np.sqrt(v_hat) + self.cfg.eps) + self.cfg.weight_decay * x)
-        ad.unflatten(self.params, x)
+        ad.flatten((grad_or_zero(p) for p in self.params.values()), out=self._grad)
+        ad.flatten((p.data for p in self.params.values()), out=self._flat)
+        for lo in range(0, self._flat.size, self.CHUNK):
+            hi = lo + self.CHUNK
+            m, v, g, x = self.m[lo:hi], self.v[lo:hi], self._grad[lo:hi], self._flat[lo:hi]
+            t1, t2 = self._scratch[:, :x.size]
+            m *= b1  # m = b1 * m + (1 - b1) * g
+            m += np.multiply(g, 1.0 - b1, out=t1)
+            v *= b2  # v = b2 * v + (1 - b2) * g * g
+            np.multiply(g, 1.0 - b2, out=t1)
+            v += np.multiply(t1, g, out=t1)
+            np.sqrt(np.divide(v, c2, out=t2), out=t2)  # sqrt(v_hat)
+            t2 += eps
+            np.divide(np.divide(m, c1, out=t1), t2, out=t1)  # m_hat / (sqrt(v_hat) + eps)
+            t1 += np.multiply(x, wd, out=t2)
+            x -= np.multiply(t1, lr, out=t1)
+        ad.unflatten(self.params, self._flat)
 
 
 class EarlyStopper:
@@ -458,6 +483,19 @@ def _batch_loss(params, model_cfg, x, y, rows, weights) -> Tensor | None:
     return loss if np.isfinite(loss.item()) else None
 
 
+def _adamw_step(opt: AdamW, params, model_cfg, x, y, rows, weights) -> float | None:
+    """One AdamW step on `rows`; returns the batch loss, or None on
+    divergence. The step's tape is unreachable once this returns, so no
+    two steps' graphs are ever alive together."""
+    loss = _batch_loss(params, model_cfg, x, y, rows, weights)
+    if loss is None:
+        return None
+    opt.zero_grad()
+    loss.backward()
+    opt.step()
+    return float(loss.item())
+
+
 def _adamw_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch) -> None:
     """One seeded shuffled mini-batch pass per epoch."""
     opt = AdamW(params, cfg.lr, cfg.adamw)
@@ -468,13 +506,10 @@ def _adamw_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch)
         running = 0.0
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             rows = perm[start:start + cfg.batch_size]
-            loss = _batch_loss(params, model_cfg, x[rows], y, rows, weights)
+            loss = _adamw_step(opt, params, model_cfg, x[rows], y, rows, weights)
             if loss is None:
                 raise NanLossError(epoch, bi)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            running += float(loss.item()) * rows.size
+            running += loss * rows.size
         if end_epoch(epoch, running / n):
             return
 

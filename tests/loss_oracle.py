@@ -4,8 +4,8 @@ for bit, in value and in gradient."""
 
 import numpy as np
 
-from tabnsa import autodiff as ad
 from tabnsa.autodiff import Tensor
+from tape_ops import exp, log
 
 
 def composed_weighted_cross_entropy(logits: Tensor, labels, weights=None) -> Tensor:
@@ -14,7 +14,7 @@ def composed_weighted_cross_entropy(logits: Tensor, labels, weights=None) -> Ten
     labels = np.asarray(labels, dtype=np.intp)
     b = logits.shape[0]
     z = logits - Tensor(logits.data.max(axis=1, keepdims=True))
-    nll = ad.log(ad.exp(z).sum(axis=1)) - z[np.arange(b), labels]
+    nll = log(exp(z).sum(axis=1)) - z[np.arange(b), labels]
     if weights is not None:
         nll = nll * Tensor(np.asarray(weights, dtype=np.float64)[labels])
     return nll.mean()

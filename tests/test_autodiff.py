@@ -10,6 +10,7 @@ from tabnsa import autodiff as ad
 from tabnsa.autodiff import Tensor
 from tabnsa.model import ModelConfig, param_specs
 from tabnsa.nsa_attention import NSAConfig
+from tape_ops import exp, log, power
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -38,6 +39,10 @@ def check_grad(build, x: np.ndarray, tol: float = 1e-6) -> None:
     npt.assert_array_less(np.abs(t.grad - num) / denom, tol)
 
 
+def square(t: Tensor) -> Tensor:
+    return t * t
+
+
 RNG = np.random.default_rng(42)
 
 
@@ -56,14 +61,14 @@ class TestElementwise:
 
     def test_sub_neg_pow(self):
         a = RNG.normal(size=(5,))
-        check_grad(lambda t: ((t - 1.5) ** 3).sum(), a)
+        check_grad(lambda t: power(t - 1.5, 3).sum(), a)
         check_grad(lambda t: (-t + 2.0).sum(), a)
 
     @pytest.mark.parametrize(
         "fn,shift",
         [
-            (ad.exp, 0.0),
-            (ad.log, 4.0),
+            (exp, 0.0),
+            (log, 4.0),
             (ad.sigmoid, 0.0),
             (ad.gelu, 0.0),
             (ad.silu, 0.0),
@@ -127,7 +132,7 @@ class TestMatmulAndShape:
 
     def test_reshape_swapaxes(self):
         a = RNG.normal(size=(2, 3, 4))
-        check_grad(lambda t: (t.reshape(6, 4) ** 2).sum(), a)
+        check_grad(lambda t: square(t.reshape(6, 4)).sum(), a)
         check_grad(lambda t: (t.swapaxes(-1, -2) * 3.0).sum(), a)
 
     def test_split_heads_is_a_contiguous_head_major_copy(self):
@@ -141,20 +146,20 @@ class TestMatmulAndShape:
     def test_concatenate(self):
         a = RNG.normal(size=(2, 3))
         b = RNG.normal(size=(2, 5))
-        check_grad(lambda t: (ad.concatenate([t, Tensor(b)], axis=1) ** 2).sum(), a)
-        check_grad(lambda t: (ad.concatenate([Tensor(a), t], axis=1) ** 2).sum(), b)
+        check_grad(lambda t: square(ad.concatenate([t, Tensor(b)], axis=1)).sum(), a)
+        check_grad(lambda t: square(ad.concatenate([Tensor(a), t], axis=1)).sum(), b)
 
 
 class TestReductions:
     @pytest.mark.parametrize("axis,keepdims", [(None, False), (0, False), (1, True), ((0, 2), False)])
     def test_sum(self, axis, keepdims):
         a = RNG.normal(size=(2, 3, 4))
-        check_grad(lambda t: (t.sum(axis=axis, keepdims=keepdims) ** 2).sum(), a)
+        check_grad(lambda t: square(t.sum(axis=axis, keepdims=keepdims)).sum(), a)
 
     @pytest.mark.parametrize("axis,keepdims", [(None, False), (-1, False), (1, True)])
     def test_mean(self, axis, keepdims):
         a = RNG.normal(size=(2, 3, 4))
-        check_grad(lambda t: (t.mean(axis=axis, keepdims=keepdims) ** 2).sum(), a)
+        check_grad(lambda t: square(t.mean(axis=axis, keepdims=keepdims)).sum(), a)
 
 
 def softmax(t, axis: int = -1):
@@ -184,13 +189,13 @@ class TestSoftmax:
 
     def test_gradient_axis0(self):
         a = RNG.normal(size=(4, 3))
-        check_grad(lambda t: (softmax(t, axis=0) ** 2).sum(), a)
+        check_grad(lambda t: square(softmax(t, axis=0)).sum(), a)
 
 
 class TestIndexing:
     def test_basic_slice(self):
         a = RNG.normal(size=(4, 5))
-        check_grad(lambda t: (t[1:3, ::2] ** 2).sum(), a)
+        check_grad(lambda t: square(t[1:3, ::2]).sum(), a)
 
     def test_advanced_repeated_indices_accumulate(self):
         a = Tensor(np.arange(5.0), requires_grad=True)
@@ -203,7 +208,7 @@ class TestIndexing:
         a = RNG.normal(size=(4, 3))
         rows = np.array([0, 1, 2, 3])
         cols = np.array([2, 0, 1, 1])
-        check_grad(lambda t: (t[rows, cols] ** 2).sum(), a)
+        check_grad(lambda t: square(t[rows, cols]).sum(), a)
 
     def test_gather_blocks_forward_and_grad(self):
         t = RNG.normal(size=(2, 2, 6, 3))
@@ -211,7 +216,7 @@ class TestIndexing:
         out = ad.gather_blocks(Tensor(t), idx).numpy()
         assert out.shape == (2, 2, 2, 3, 3)
         npt.assert_array_equal(out[1, 0, 1, 2], t[1, 0, 4])
-        check_grad(lambda x: (ad.gather_blocks(x, idx) ** 2).sum(), t)
+        check_grad(lambda x: square(ad.gather_blocks(x, idx)).sum(), t)
 
     def test_gather_selected_forward_and_grad(self):
         t = RNG.normal(size=(2, 3, 5, 2))
@@ -220,7 +225,7 @@ class TestIndexing:
         assert out.shape == (2, 3, 2, 3, 2)
         npt.assert_array_equal(out[0, 1, 0, 0], t[0, 1, 4])
         npt.assert_array_equal(out[1, 2, 1, 2], t[1, 2, 4])
-        check_grad(lambda x: (ad.gather_selected(x, idx) ** 2).sum(), t)
+        check_grad(lambda x: square(ad.gather_selected(x, idx)).sum(), t)
 
 
 def gather_selected_loop(t, idx):
@@ -440,6 +445,39 @@ class TestEngine:
         (x * 3.0).backward()
         (x * 3.0).backward()
         npt.assert_allclose(x.grad, [6.0])
+
+    def test_roots_sharing_an_intermediate_count_each_path_once(self):
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        y = x * 2.0
+        (y * 3.0).backward()
+        (y * 4.0).backward()
+        npt.assert_array_equal(x.grad, [14.0])
+
+    def test_two_backward_calls_on_one_root_accumulate_at_the_leaf(self):
+        x = Tensor(np.array([1.0]), requires_grad=True)
+        y = x * 2.0
+        y.backward()
+        y.backward()
+        npt.assert_array_equal(x.grad, [4.0])
+
+    def test_non_leaf_gradients_are_freed_by_the_walk(self):
+        x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        w = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
+        h = ad.gelu(x @ w)
+        root = (h * h + h).sum()
+        root.backward()
+        seen, stack, non_leaves = set(), [root], []
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            if node._backward is not None:
+                non_leaves.append(node)
+            stack.extend(node._parents)
+        assert len(non_leaves) == 5  # matmul, gelu, mul, add, sum
+        assert all(node.grad is None for node in non_leaves)
+        assert x.grad.shape == (3, 4) and w.grad.shape == (4, 2)
 
 
 class TestMakeLeaves:

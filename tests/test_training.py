@@ -2,9 +2,11 @@
 stopping, the mini-batch driver, and the L-BFGS core on standard benchmarks."""
 
 import dataclasses
+import gc
 import json
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from conftest import fd_param_check
 from loss_oracle import composed_weighted_cross_entropy
 from tabnsa import training
 from tabnsa.autodiff import Tensor
-from tabnsa.data import DatasetSplit, FeatureMatrix, LabelVector, make_two_gaussians
+from tabnsa.data import DatasetSplit, FeatureMatrix, LabelVector, class_weights, make_two_gaussians
 from tabnsa.model import TILE_ROWS, ModelConfig, forward, init_model_params
 from tabnsa.nsa_attention import NSAConfig
 from tabnsa.training import (
@@ -236,8 +238,18 @@ class TestAdamW:
         assert abs(p.data[0] - (1.0 - 0.2 * 0.01)) < 1e-15
 
     def test_five_steps_match_a_per_parameter_loop_bit_for_bit(self):
+        self.check_against_per_parameter_loop({"w": (3, 4), "b": (4,), "unused": (2, 1, 3), "s": ()})
+
+    def test_multi_chunk_steps_match_a_per_parameter_loop_bit_for_bit(self):
+        # 2 full chunks and an uneven third; "w" and "unused" straddle chunk edges
+        shapes = {"w": (300, 250), "b": (7,), "unused": (4, 1000), "s": ()}
+        total = sum(int(np.prod(shape)) for shape in shapes.values())
+        assert 2 * AdamW.CHUNK < total < 3 * AdamW.CHUNK
+        self.check_against_per_parameter_loop(shapes)
+
+    @staticmethod
+    def check_against_per_parameter_loop(shapes):
         rng = np.random.default_rng(8)
-        shapes = {"w": (3, 4), "b": (4,), "unused": (2, 1, 3), "s": ()}
         start = {k: rng.normal(size=shape) for k, shape in shapes.items()}
         params = {k: Tensor(v.copy(), requires_grad=True) for k, v in start.items()}
         cfg = AdamWConfig(beta1=0.8, beta2=0.95, eps=1e-6, weight_decay=0.1)
@@ -416,8 +428,6 @@ class TestFitAdamW:
     def test_returned_weights_reproduce_best_val_loss(self):
         params, hist = self.run_fit(seed=11, max_epochs=12, patience=4)
         y_tr = self.split.train[1]
-        from tabnsa.data import class_weights
-
         val_loss, _ = evaluate_loss_metric(
             params, self.model_cfg, self.split.val[0].values, self.split.val[1], class_weights(y_tr)
         )
@@ -660,3 +670,53 @@ class TestTiledInference:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0]
+
+
+class TestOneTapePerStep:
+    """An AdamW fit holds at most one step's graph at a time."""
+
+    def test_step_graph_is_freed_before_the_next_forward(self, monkeypatch):
+        x, y = make_two_gaussians(80, 4, seed=6)
+        split = make_split(x, y)
+        cfg = tiny_model_config()
+        refs, alive_at_entry = [], []
+        real_forward = training.forward
+
+        def spy(*args, **kwargs):
+            alive_at_entry.append(sum(ref() is not None for ref in refs))
+            logits = real_forward(*args, **kwargs)
+            if logits.requires_grad:
+                refs.append(weakref.ref(logits.data))
+            return logits
+
+        monkeypatch.setattr(training, "forward", spy)
+        gc.disable()  # the graph must die by reference counting alone
+        try:
+            fit(init_model_params(cfg, 0), cfg, split, TrainConfig(batch_size=16, max_epochs=2, patience=2, seed=1))
+        finally:
+            gc.enable()
+        assert len(refs) == 2 * 4  # 56 training rows in batches of 16, two epochs
+        assert alive_at_entry == [0] * len(alive_at_entry)
+
+    def test_fit_peak_stays_within_two_tapes_at_the_mid_geometry(self):
+        cfg = benchmark_config(False, 4, 24, 8)
+        x, y = make_two_gaussians(200, 15, seed=3)
+        split = make_split(x, y)
+        x_tr, y_tr = split.train
+        weights = class_weights(y_tr)
+        params = init_model_params(cfg, 0)
+        forward(x_tr.values[:64], params, cfg)  # builds the cached index plans
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss = weighted_cross_entropy(forward(x_tr.values[:64], params, cfg), y_tr.labels[:64], weights)
+            tape = tracemalloc.get_traced_memory()[0] - base
+            del loss
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            fit(params, cfg, split, TrainConfig(batch_size=64, max_epochs=2, patience=2, seed=1))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert tape > 20 * 2**20  # the mid geometry keeps tens of MiB per batch of 64
+        assert peak <= 2.0 * tape, f"fit peak {peak / 2**20:.1f} MiB, one tape {tape / 2**20:.1f} MiB"
