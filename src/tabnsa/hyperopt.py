@@ -213,9 +213,12 @@ def best_so_far_curve(records: list[TrialRecord]) -> list[float]:
 
 
 def _worker_count(max_workers: int | None) -> int:
-    """`max_workers` (at least 1) if given, else THREADS_ENV_VAR, else 1."""
+    """`max_workers` if given, else THREADS_ENV_VAR, else 1; either must be
+    a positive integer."""
     if max_workers is not None:
-        return max(1, max_workers)
+        if max_workers < 1:
+            raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
+        return max_workers
     env = os.environ.get(THREADS_ENV_VAR, "").strip()
     if not env:
         return 1

@@ -22,8 +22,12 @@ FLOPs accounting conventions (forward pass only):
 from __future__ import annotations
 
 import json
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import zip_longest
 
 import numpy as np
@@ -43,6 +47,38 @@ ACT_FLOPS_PER_ELEMENT = 1
 
 # rows per pass of a tape-free forward
 TILE_ROWS = 128
+
+# threads that run the tiles of a tape-free forward, built on first use and
+# dropped in a forked child, whose copy of the pool has no threads
+_TILE_POOL: ThreadPoolExecutor | None = None
+_TILE_POOL_LOCK = threading.Lock()
+
+
+def _drop_tile_pool() -> None:
+    global _TILE_POOL, _TILE_POOL_LOCK
+    _TILE_POOL, _TILE_POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_tile_pool)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _tile_pool() -> ThreadPoolExecutor | None:
+    """The shared tile pool, one thread per usable core; None on one core.
+    A tile task never submits work to it, so concurrent callers cannot
+    deadlock on it."""
+    global _TILE_POOL
+    with _TILE_POOL_LOCK:
+        if _TILE_POOL is None and (cores := _usable_cores()) > 1:
+            _TILE_POOL = ThreadPoolExecutor(cores, thread_name_prefix="tabnsa-tile")
+        return _TILE_POOL
 
 
 @dataclass(frozen=True)
@@ -140,8 +176,7 @@ def embed_features(x: np.ndarray, params: dict) -> Tensor:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a (batch, features) matrix, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("feature matrix contains non-finite values")
+    _check_finite(x)
     tokens = Tensor(x[:, :, None]) * params["embed.weight"] + params["embed.bias"]
     if "feature_id" in params:
         fid = params["feature_id"]
@@ -149,6 +184,11 @@ def embed_features(x: np.ndarray, params: dict) -> Tensor:
             raise ValueError(f"feature_id table has {fid.shape[0]} rows, input has {x.shape[1]} features")
         tokens = tokens + fid
     return tokens
+
+
+def _check_finite(x: np.ndarray) -> None:
+    if not np.isfinite(x).all():
+        raise ValueError("feature matrix contains non-finite values")
 
 
 def fuse(y: Tensor, z: Tensor | None, variant: str, params: dict) -> Tensor:
@@ -181,8 +221,10 @@ def mean_pool(t: Tensor) -> Tensor:
 def forward(x: np.ndarray, params: dict, config: ModelConfig) -> Tensor:
     """Logits (B, C), or (B, 1) for regression.
 
-    With no tape recorded, the rows run in order in tiles of `TILE_ROWS`,
-    so the peak memory of a forward is set by the config, not by B.
+    With no tape recorded, the rows run in tiles of `TILE_ROWS`, one tile
+    per usable core at a time, so the peak memory of a forward is set by
+    the config and the core count, not by B. Tile edges do not depend on
+    the core count, so neither do the logits.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != config.num_tokens:
@@ -191,8 +233,17 @@ def forward(x: np.ndarray, params: dict, config: ModelConfig) -> Tensor:
         raise ValueError("feature_id table presence does not match config.feature_id_embedding")
     if ad._grad_enabled() or x.shape[0] <= TILE_ROWS:
         return _forward(x, params, config)
-    tiles = [_forward(x[i:i + TILE_ROWS], params, config).data for i in range(0, x.shape[0], TILE_ROWS)]
-    return Tensor(np.concatenate(tiles))
+    _check_finite(x)  # before any tile runs, so a bad last row fails at once
+    tiles = [x[i:i + TILE_ROWS] for i in range(0, x.shape[0], TILE_ROWS)]
+    pool = _tile_pool()
+    logits = (pool.map if pool else map)(partial(_forward_tile, params=params, config=config), tiles)
+    return Tensor(np.concatenate(list(logits)))
+
+
+def _forward_tile(x: np.ndarray, params: dict, config: ModelConfig) -> np.ndarray:
+    # the grad switch is per thread, so a pool thread must turn it off itself
+    with ad.no_grad():
+        return _forward(x, params, config).data
 
 
 def _forward(x: np.ndarray, params: dict, config: ModelConfig) -> Tensor:

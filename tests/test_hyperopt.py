@@ -155,6 +155,21 @@ class TestRunSearch:
             assert a.seed == b.seed
         assert best1.trial_id == best2.trial_id
 
+    @pytest.mark.parametrize("source, value", [("argument", 0), ("argument", -2), ("env", "0")])
+    def test_non_positive_worker_count_fails_before_any_trial(self, source, value, gaussian_split, monkeypatch):
+        ran = []
+        monkeypatch.setattr(hyperopt, "run_trial", lambda trial_id, *a, **kw: ran.append(trial_id))
+        kwargs = {}
+        if source == "argument":
+            kwargs["max_workers"] = value
+            message = f"max_workers must be a positive integer, got {value!r}"
+        else:
+            monkeypatch.setenv(hyperopt.THREADS_ENV_VAR, value)
+            message = f"{hyperopt.THREADS_ENV_VAR} must be a positive integer, got {value!r}"
+        with pytest.raises(ValueError, match=message):
+            run_search(gaussian_split, NARROW_SPACE, 2, seed=6, base_train=FAST_TRAIN, **kwargs)
+        assert ran == []
+
     def test_best_so_far_curve_monotone(self, gaussian_split):
         _, records = run_search(gaussian_split, NARROW_SPACE, 5, seed=7, base_train=FAST_TRAIN)
         curve = best_so_far_curve(records)

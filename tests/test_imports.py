@@ -2,9 +2,13 @@
 in that module, every parameter a package function takes is read in its
 body, the sparse-attention gathers, the head split and the loss stay off
 the slow numpy scatter and gather routines, and trainable leaves have one
-constructor."""
+constructor. One check runs the package instead: importing it starts no
+thread."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -133,3 +137,17 @@ def test_leaf_finder_sees_nested_and_module_level_leaves():
         "W = Tensor(np.ones(2), requires_grad=flag)\n"
     )
     assert leaf_constructors(source) == {"f", "<module>"}
+
+
+def test_importing_every_module_starts_no_thread():
+    modules = [f"tabnsa.{path.stem}" for path in SOURCES if path.stem != "__init__"]
+    script = (
+        "import importlib, threading\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(threading.active_count())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1"]

@@ -1,19 +1,27 @@
 """Training tests: loss closed forms, optimizer update algebra, early
 stopping, the mini-batch driver, and the L-BFGS core on standard benchmarks."""
 
+import contextlib
 import dataclasses
 import gc
 import json
+import os
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import fd_param_check
 from loss_oracle import composed_weighted_cross_entropy
-from tabnsa import training
+from tabnsa import autodiff as ad
+from tabnsa import model, training
 from tabnsa.autodiff import Tensor
 from tabnsa.data import DatasetSplit, FeatureMatrix, LabelVector, class_weights, make_two_gaussians
 from tabnsa.model import TILE_ROWS, ModelConfig, forward, init_model_params
@@ -618,9 +626,43 @@ def benchmark_config(regression=False, heads=2, head_dim=8, compress_block=4):
     return ModelConfig(nsa=nsa, num_tokens=15, num_classes=1 if regression else 2, regression=regression)
 
 
+def serial_tiles(x, params, cfg):
+    """The tiled forward's reference: `_forward` on each TILE_ROWS slice in
+    order on the calling thread, concatenated."""
+    with ad.no_grad():
+        tiles = [model._forward(x[i:i + TILE_ROWS], params, cfg).data for i in range(0, len(x), TILE_ROWS)]
+    return np.concatenate(tiles)
+
+
+TILE_CONFIGS = {
+    "default": benchmark_config(),
+    "mid": benchmark_config(False, 4, 24, 8),
+    "fusion_m": dataclasses.replace(benchmark_config(), fusion="m"),
+    "fusion_c": dataclasses.replace(benchmark_config(), fusion="c"),
+    "fusion_r": dataclasses.replace(benchmark_config(), fusion="r"),
+    "two_blocks": dataclasses.replace(benchmark_config(), num_blocks=2),
+    "regression": benchmark_config(True),
+}
+
+
+@contextlib.contextmanager
+def usable_cores(cores):
+    """Run tiled forwards as if the process had `cores` usable cores, with a
+    tile pool of their own."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "_usable_cores", lambda: cores)
+        mp.setattr(model, "_TILE_POOL", None)
+        try:
+            yield
+        finally:
+            if model._TILE_POOL is not None:
+                model._TILE_POOL.shutdown()
+
+
 class TestTiledInference:
-    """A tape-free forward runs in tiles of TILE_ROWS rows; a grad-mode
-    forward over the same rows is one un-tiled pass."""
+    """A tape-free forward runs in tiles of TILE_ROWS rows, spread over one
+    thread per usable core; a grad-mode forward over the same rows is one
+    un-tiled pass."""
 
     @pytest.mark.parametrize("regression", [False, True], ids=["proba", "values"])
     @pytest.mark.parametrize("rows", [0, 1, 127, 128, 129, 300, 1024])
@@ -635,6 +677,117 @@ class TestTiledInference:
         assert got.shape == want.shape == ((rows,) if regression else (rows, 2))
         assert np.abs(got - want).max(initial=0.0) <= 1e-12
         assert np.array_equal(got, predict(params, cfg, x))
+
+    @pytest.mark.parametrize("name", list(TILE_CONFIGS))
+    def test_scores_are_bit_identical_to_the_serial_tile_loop(self, name):
+        cfg = TILE_CONFIGS[name]
+        params = init_model_params(cfg, 5)
+        x = np.random.default_rng(6).normal(size=(2048, 15))
+        for rows in (129, 300, 1000, 2048):
+            want = serial_tiles(x[:rows], params, cfg)
+            for cores in (1, 2, 3):
+                with usable_cores(cores), ad.no_grad():
+                    got = forward(x[:rows], params, cfg).data
+                    assert (model._TILE_POOL is None) == (cores == 1)
+                assert np.array_equal(got, want), (rows, cores)
+
+    def test_every_tile_runs_without_a_tape_on_a_pool_thread(self, monkeypatch):
+        cfg = benchmark_config()
+        params = init_model_params(cfg, 0)
+        seen = []
+        real = model._forward
+
+        def spy(x, *args):
+            out = real(x, *args)
+            seen.append((threading.get_ident(), ad._grad_enabled(), out.requires_grad, out._parents))
+            return out
+
+        monkeypatch.setattr(model, "_forward", spy)
+        x = np.random.default_rng(7).normal(size=(5 * TILE_ROWS + 3, 15))
+        with usable_cores(2):
+            probs = training.predict_proba(params, cfg, x)
+        assert probs.shape == (x.shape[0], 2)
+        assert len(seen) == 6
+        assert {(grad, tape, parents) for _, grad, tape, parents in seen} == {(False, False, ())}
+        assert threading.get_ident() not in {thread for thread, *_ in seen}
+        assert ad._grad_enabled()
+
+    def test_concurrent_callers_get_the_bytes_of_serial_calls(self):
+        """More clients than cores share the one pool, with thread switches
+        forced often."""
+        cfg = benchmark_config()
+        params = init_model_params(cfg, 8)
+        xs = [np.random.default_rng(seed).normal(size=(1000, 15)) for seed in (9, 10, 11)]
+        want = [training.predict_proba(params, cfg, x).tobytes() for x in xs]
+        got = [[] for _ in xs]
+        start = threading.Barrier(len(xs))
+
+        def client(i):
+            start.wait(timeout=60)
+            for _ in range(3):
+                got[i].append(training.predict_proba(params, cfg, xs[i]).tobytes())
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(len(xs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[w] * 3 for w in want]
+
+    @pytest.mark.parametrize("row", [150, -1], ids=["middle_tile", "last_row"])
+    def test_non_finite_feature_fails_before_any_tile_runs(self, row, monkeypatch):
+        cfg = benchmark_config()
+        params = init_model_params(cfg, 0)
+        x = np.random.default_rng(3).normal(size=(300, 15))
+        x[row, 4] = np.inf
+        ran = []
+        monkeypatch.setattr(model, "_forward", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match="feature matrix contains non-finite values"):
+            training.predict_proba(params, cfg, x)
+        assert ran == []
+
+    def test_forked_child_scores_with_a_pool_of_its_own(self):
+        """A `fork` child inherits the parent's pool object but none of its
+        threads; it must build its own and score the same bytes."""
+        script = textwrap.dedent("""
+            import multiprocessing
+            import numpy as np
+            from tabnsa import model, training
+            from test_training import benchmark_config
+
+            model._usable_cores = lambda: 2  # a pool even on one core
+            cfg = benchmark_config()
+            params = model.init_model_params(cfg, 0)
+            x = np.random.default_rng(11).normal(size=(1000, 15))
+            parent = training.predict_proba(params, cfg, x).tobytes()
+            assert model._TILE_POOL is not None
+
+            def child(conn):
+                conn.send((model._TILE_POOL is None, training.predict_proba(params, cfg, x).tobytes()))
+
+            ctx = multiprocessing.get_context("fork")
+            receive, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=child, args=(send,))
+            proc.start()
+            answered = receive.poll(60)
+            fresh_pool, scores = receive.recv() if answered else (None, None)
+            proc.join(5)
+            if proc.is_alive():
+                proc.kill()
+            print(answered, fresh_pool, scores == parent)
+        """)
+        src = str(Path(model.__file__).resolve().parents[1])
+        tests = str(Path(__file__).resolve().parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=180)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["True", "True", "True"]
 
     def test_validation_loss_matches_one_untiled_pass(self):
         cfg = benchmark_config()
@@ -657,19 +810,24 @@ class TestTiledInference:
 
     @pytest.mark.parametrize("geometry", [(2, 8, 4), (4, 24, 8)], ids=["default", "mid"])
     def test_peak_memory_does_not_grow_with_the_request(self, geometry):
+        """At most one tile per pool thread is in flight, so no request peaks
+        above W one-tile peaks for W threads. A W-tile request reaches that
+        only when its tiles overlap in time, so it is no stable baseline."""
         cfg = benchmark_config(False, *geometry)
         params = init_model_params(cfg, 0)
-        x = np.random.default_rng(4).normal(size=(4 * TILE_ROWS, 15))
-        training.predict_proba(params, cfg, x[:TILE_ROWS])  # builds the cached index plans
+        workers = model._usable_cores()
+        sizes = (TILE_ROWS, 4 * TILE_ROWS) if workers == 1 else (TILE_ROWS, workers * TILE_ROWS, 16 * TILE_ROWS)
+        x = np.random.default_rng(4).normal(size=(sizes[-1], 15))
+        training.predict_proba(params, cfg, x[:2 * TILE_ROWS])  # builds the index plans and the pool
         peaks = []
-        for rows in (TILE_ROWS, 4 * TILE_ROWS):
+        for rows in sizes:
             tracemalloc.start()
             try:
                 training.predict_proba(params, cfg, x[:rows])
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] <= 1.1 * peaks[0]
+        assert max(peaks[1:]) <= 1.1 * workers * peaks[0], [f"{p / 2**20:.1f} MiB" for p in peaks]
 
 
 class TestOneTapePerStep:
