@@ -47,7 +47,7 @@ from .model import (
     save_checkpoint,
 )
 from .nsa_attention import NSAConfig
-from .training import NanLossError, TrainConfig, evaluation_report
+from .training import OPTIMIZERS, NanLossError, TrainConfig, evaluation_report
 
 CONFIG_VERSION = 1
 
@@ -500,7 +500,7 @@ def _ablate_settings(what: str, cfg: dict) -> list[tuple[str, str, dict]]:
         for depth in (1, 2, 3, 4):
             rows.append(("num_blocks", str(depth), {"model": {"num_blocks": depth}}))
     elif what == "optimizer":
-        for opt in ("adamw", "lbfgs"):
+        for opt in OPTIMIZERS:
             rows.append(("optimizer", opt, {"train": {"optimizer": opt}}))
     elif what == "sparse_params":
         baseline = cfg["model"]["nsa"]
@@ -585,7 +585,7 @@ def _add_common(sub: argparse.ArgumentParser, *, out_required: bool) -> None:
     sub.add_argument("--csv", default=None, help="dataset CSV (overrides config data.csv)")
     sub.add_argument("--target", default=None, help="target column name (overrides config data.target)")
     sub.add_argument("--out", required=out_required, default=None, help="output directory")
-    sub.add_argument("--optimizer", choices=("adamw", "lbfgs"), default=None)
+    sub.add_argument("--optimizer", choices=OPTIMIZERS, default=None)
     sub.add_argument("--fusion", choices=FUSION_VARIANTS, default=None)
     sub.add_argument("--causal", action="store_true", help="causal attention masks")
     sub.add_argument("--no-feature-ids", action="store_true", help="disable the per-feature identity embedding")

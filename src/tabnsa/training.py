@@ -3,10 +3,9 @@
 `fit` is the one driver. It early-stops on validation loss and restores the
 best-validation-loss weights; between validations it runs epochs of the
 configured optimizer: a seeded shuffled mini-batch pass of AdamW (decoupled
-weight decay), or one accepted step of full-batch L-BFGS (two-loop
-recursion, Armijo backtracking). The target picks the loss: class-weighted
-cross-entropy for a label, MSE for a number. `lbfgs_minimize` is the generic
-vector minimizer underneath.
+weight decay), or one accepted step of full-batch L-BFGS (scipy's L-BFGS-B
+with its strong-Wolfe line search). The target picks the loss:
+class-weighted cross-entropy for a label, MSE for a number.
 """
 
 from __future__ import annotations
@@ -15,6 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import optimize
 
 from . import autodiff as ad
 from . import metrics
@@ -23,11 +23,6 @@ from .data import DatasetSplit, FeatureMatrix, LabelVector, class_weights
 from .model import ModelConfig, forward
 
 OPTIMIZERS = ("adamw", "lbfgs")
-
-# Curvature pairs whose s.y falls below this fraction of s.(B0 s) are damped
-# toward the scaled identity so the inverse-Hessian estimate stays positive
-# definite under an Armijo-only line search.
-DAMPING_FLOOR = 1e-3
 
 
 class NanLossError(RuntimeError):
@@ -68,8 +63,8 @@ class LBFGSConfig:
     tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.history < 0:
-            raise ValueError("history must be >= 0")
+        if self.history < 1:
+            raise ValueError("history must be >= 1")
         if self.max_line_search < 1:
             raise ValueError("max_line_search must be >= 1")
         if self.tolerance < 0.0:
@@ -347,116 +342,6 @@ def evaluate_loss_metric(params, model_cfg, x, labels: LabelVector, weights):
     return loss, metric
 
 
-# -- L-BFGS ----------------------------------------------------------------------
-
-
-@dataclass
-class LBFGSResult:
-    x: np.ndarray
-    fun: float
-    steps: int  # accepted steps
-    converged: bool  # gradient norm fell below tolerance
-    line_search_failures: int  # consecutive failures at exit
-
-
-def _two_loop(g: np.ndarray, pairs: list) -> np.ndarray:
-    """H @ g via the standard two-loop recursion; identity H0 scaled by
-    gamma = (s.y)/(y.y) of the newest pair. Empty history -> g unchanged."""
-    q = g.copy()
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        a = rho * (s @ q)
-        q -= a * y
-        alphas.append(a)
-    if pairs:
-        s, y, _ = pairs[-1]
-        q *= (s @ y) / (y @ y)
-    for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * (y @ q)
-        q += (a - b) * s
-    return q
-
-
-def lbfgs_minimize(
-    fun,
-    x0: np.ndarray,
-    history: int = 10,
-    max_iters: int = 200,
-    grad_tol: float = 1e-10,
-    c1: float = 1e-4,
-    backtrack: float = 0.5,
-    max_line_search: int = 25,
-    max_consecutive_failures: int = 20,
-    callback=None,
-) -> LBFGSResult:
-    """Minimize fun(x) -> (f, grad) with L-BFGS + Armijo backtracking.
-
-    history=0 degrades to steepest descent. Low-curvature pairs are damped
-    toward the scaled identity before storage. After
-    `max_consecutive_failures` line searches in a row fail, the best point
-    so far is returned. `callback(step, x, f)` runs after each accepted
-    step; returning True stops the loop. A non-finite fun(x0) returns at once.
-    """
-    x = np.asarray(x0, dtype=np.float64).copy()
-    f, g = fun(x)
-    if not np.isfinite(f):
-        return LBFGSResult(x=x, fun=f, steps=0, converged=False, line_search_failures=0)
-    pairs: list = []
-    fails = 0
-    steps = 0
-    converged = False
-    gamma = 1.0  # scale of the implicit initial inverse Hessian
-    for _ in range(max_iters):
-        if np.linalg.norm(g) <= grad_tol:
-            converged = True
-            break
-        p = -_two_loop(g, pairs)
-        gtp = g @ p
-        if not np.isfinite(gtp) or gtp >= 0.0:  # not a descent direction; reset
-            p = -g
-            gtp = g @ p
-        alpha = 1.0
-        accepted = None
-        for _probe in range(max_line_search):
-            ft, gt = fun(x + alpha * p)
-            if np.isfinite(ft) and ft <= f + c1 * alpha * gtp:
-                accepted = (ft, gt, alpha)
-                break
-            alpha *= backtrack
-        if accepted is None:
-            fails += 1
-            pairs.clear()  # stale curvature is the usual culprit
-            if fails >= max_consecutive_failures:
-                break
-            continue
-        fails = 0
-        ft, gt, alpha = accepted
-        s = alpha * p
-        yv = gt - g
-        sy = s @ yv
-        # Armijo-only searches admit negative-curvature steps; damping the
-        # pair against the gamma-scaled identity keeps the approximation
-        # positive definite instead of freezing it.
-        s_b_s = (s @ s) / gamma
-        if np.isfinite(s_b_s) and sy < DAMPING_FLOOR * s_b_s:
-            theta = (1.0 - DAMPING_FLOOR) * s_b_s / (s_b_s - sy)
-            yv = theta * yv + (1.0 - theta) * s / gamma
-            sy = s @ yv
-        if np.isfinite(sy) and sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(yv):
-            pairs.append((s, yv, 1.0 / sy))
-            gamma = sy / (yv @ yv)
-            if history == 0:
-                pairs.clear()
-            elif len(pairs) > history:
-                pairs.pop(0)
-        x = x + s
-        f, g = ft, gt
-        steps += 1
-        if callback is not None and callback(steps, x, f):
-            break
-    return LBFGSResult(x=x, fun=f, steps=steps, converged=converged, line_search_failures=fails)
-
-
 # -- the driver ------------------------------------------------------------------
 
 
@@ -514,10 +399,16 @@ def _adamw_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch)
             return
 
 
+class _NonFiniteProbe(Exception):
+    """A full-batch loss probe went non-finite."""
+
+
 def _lbfgs_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch) -> None:
-    """One accepted full-batch L-BFGS step per epoch; a non-finite start is
-    divergence in the first batch of epoch 1."""
+    """One accepted full-batch step of scipy's L-BFGS-B per epoch. A
+    non-finite loss before the first accepted step is divergence in the
+    first batch of epoch 1; after it, such a loss just ends training."""
     rows = np.arange(x.shape[0])
+    epochs = 0
 
     def closure(vec):
         ad.unflatten(params, vec)
@@ -525,32 +416,42 @@ def _lbfgs_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch)
             p.grad = None
         loss = _batch_loss(params, model_cfg, x, y, rows, weights)
         if loss is None:
-            return np.inf, np.zeros_like(vec)  # poisoned probe; line search rejects it
+            raise _NonFiniteProbe
         loss.backward()
         return float(loss.item()), ad.flatten(grad_or_zero(p) for p in params.values())
 
-    def on_step(step, vec, f):
-        ad.unflatten(params, vec)
-        return end_epoch(step, f)
+    def on_step(intermediate_result):
+        nonlocal epochs
+        epochs += 1
+        ad.unflatten(params, intermediate_result.x)
+        if end_epoch(epochs, float(intermediate_result.fun)):
+            raise StopIteration
 
-    result = lbfgs_minimize(
-        closure,
-        ad.flatten(p.data for p in params.values()),
-        history=cfg.lbfgs.history,
-        max_iters=cfg.max_epochs,
-        grad_tol=cfg.lbfgs.tolerance,
-        max_line_search=cfg.lbfgs.max_line_search,
-        callback=on_step,
-    )
-    if not np.isfinite(result.fun):
-        raise NanLossError(1, 0)
+    lbfgs = cfg.lbfgs
+    options = {
+        "maxcor": lbfgs.history,
+        "maxls": lbfgs.max_line_search,
+        "gtol": lbfgs.tolerance,
+        "ftol": 0.0,  # no stop on a small relative decrease
+        "maxiter": cfg.max_epochs,
+        # scipy's default cap of 15000 evaluations would end a long fit silently
+        "maxfun": cfg.max_epochs * (lbfgs.max_line_search + 1),
+    }
+    x0 = ad.flatten(p.data for p in params.values())
+    try:
+        optimize.minimize(closure, x0, jac=True, method="L-BFGS-B", callback=on_step, options=options)
+    except _NonFiniteProbe:
+        if epochs == 0:
+            raise NanLossError(1, 0) from None
 
 
 def fit(params: dict, model_cfg: ModelConfig, split: DatasetSplit, cfg: TrainConfig):
     """Train with `cfg.optimizer`, validating after each epoch; returns
     (params, TrainHistory) with the best-validation-loss weights restored in
     place. Training stops after `cfg.max_epochs` epochs, after `cfg.patience`
-    epochs without strict improvement, or when L-BFGS stops accepting steps."""
+    epochs without strict improvement, or when L-BFGS stops: its largest
+    absolute gradient entry falls to `cfg.lbfgs.tolerance`, its line search
+    finds no step, or a probe's loss goes non-finite after the first epoch."""
     _check_model_shape(model_cfg, split)
     x_tr, y_tr = split.train[0].values, split.train[1]
     x_va, y_va = split.val[0].values, split.val[1]

@@ -40,7 +40,6 @@ from tabnsa.tabmixer import init_tabmixer_params, tabmixer_forward
 from tabnsa.training import (
     AdamW,
     AdamWConfig,
-    lbfgs_minimize,
     mse_loss,
     weighted_cross_entropy,
 )
@@ -332,20 +331,6 @@ class TestFlopsAccounting:
 
 
 class TestOptimizerSuite:
-    def test_curvature_method_solves_banana_valley(self):
-        def rosenbrock(v):
-            x, y = v
-            f = (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
-            g = np.array([
-                -2.0 * (1.0 - x) - 400.0 * x * (y - x * x),
-                200.0 * (y - x * x),
-            ])
-            return f, g
-
-        res = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), max_iters=200)
-        assert res.fun < 1e-6
-        assert res.steps <= 200
-
     def test_adamw_single_step_closed_form(self):
         cfg = AdamWConfig(beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.01)
         p0 = np.array([0.5, -1.5, 2.0])

@@ -177,6 +177,15 @@ class TestExitCodes:
         assert f"{THREADS_ENV_VAR} must be a positive integer, got {value!r}" in capsys.readouterr().err
         assert not (out / "trials.jsonl").exists()
 
+    def test_lbfgs_without_history_is_rejected_before_training(self, toy_csv, tmp_path, capsys):
+        p = tmp_path / "no_history.json"
+        p.write_text('{"train": {"lbfgs": {"history": 0}}}')
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(p), "--csv", toy_csv, "--target", "label", "--out", str(out)])
+        assert code == 2
+        assert "history" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_bad_seed_list(self, fast_config, tmp_path, capsys):
         code = main(["train", "--config", fast_config, "--out", str(tmp_path / "o"), "--seeds", "9..1"])
         assert code == 2

@@ -1,5 +1,5 @@
 """Training tests: loss closed forms, optimizer update algebra, early
-stopping, the mini-batch driver, and the L-BFGS core on standard benchmarks."""
+stopping, the mini-batch driver, and full-batch L-BFGS fits."""
 
 import contextlib
 import dataclasses
@@ -34,11 +34,9 @@ from tabnsa.training import (
     NanLossError,
     TrainConfig,
     TrainHistory,
-    _two_loop,
     evaluate_loss_metric,
     fit,
     grad_or_zero,
-    lbfgs_minimize,
     mse_loss,
     weighted_cross_entropy,
 )
@@ -330,6 +328,8 @@ class TestTrainConfig:
             TrainConfig(optimizer="sgd")
         with pytest.raises(ValueError):
             LBFGSConfig(history=-1)
+        with pytest.raises(ValueError, match="history"):
+            LBFGSConfig(history=0)  # scipy's L-BFGS-B needs at least one pair
 
     def test_history_validation_and_jsonl(self):
         hist = TrainHistory([1.0, 0.5], [1.1, 0.6], [0.7, float("nan")], 2, False)
@@ -504,89 +504,6 @@ class TestFitAdamW:
         assert np.isfinite(hist.val_metric[-1])  # rmse recorded
 
 
-def rosenbrock(v):
-    x, y = v
-    f = (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2
-    g = np.array([-2.0 * (1.0 - x) - 400.0 * x * (y - x * x), 200.0 * (y - x * x)])
-    return f, g
-
-
-class TestLBFGSMinimize:
-    def test_convex_quadratic_exact_minimum(self):
-        target = np.array([3.0, -1.0, 2.0])
-
-        def fun(x):
-            return 0.5 * float((x - target) @ (x - target)), x - target
-
-        res = lbfgs_minimize(fun, np.zeros(3), history=10)
-        assert np.linalg.norm(res.x - target) < 1e-8
-        assert res.steps <= 20
-        assert res.converged
-
-    def test_rosenbrock_benchmark(self):
-        res = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), history=10, max_iters=200)
-        assert res.fun < 1e-6
-        assert np.allclose(res.x, [1.0, 1.0], atol=1e-3)
-        assert np.linalg.norm(rosenbrock(res.x)[1]) < 1e-2  # stationary point
-
-    def test_empty_history_is_steepest_descent(self):
-        a = np.array([1.0, 10.0])
-        x0 = np.array([1.0, 1.0])
-        seen = {}
-
-        def fun(x):
-            return 0.5 * float(x @ (a * x)), a * x
-
-        def cb(step, x, f):
-            seen["step"] = x - x0
-            return True
-
-        lbfgs_minimize(fun, x0, history=0, callback=cb)
-        step = seen["step"]
-        direction = -a * x0
-        cosine = step @ direction / (np.linalg.norm(step) * np.linalg.norm(direction))
-        assert abs(cosine - 1.0) < 1e-12
-
-    def test_two_loop_single_pair_closed_form(self):
-        rng = np.random.default_rng(16)
-        s, y, g = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-        if s @ y < 0:
-            y = -y
-        rho = 1.0 / (s @ y)
-        gamma = (s @ y) / (y @ y)
-        eye = np.eye(3)
-        h = (eye - rho * np.outer(s, y)) @ (gamma * eye) @ (eye - rho * np.outer(y, s)) + rho * np.outer(s, s)
-        assert np.allclose(_two_loop(g, [(s, y, rho)]), h @ g, atol=1e-12)
-
-    def test_two_loop_empty_history_identity(self):
-        g = np.array([2.0, -3.0])
-        assert np.array_equal(_two_loop(g, []), g)
-
-    def test_consecutive_line_search_failures_return_start(self):
-        calls = {"n": 0}
-
-        def lying(x):
-            calls["n"] += 1
-            return 1.0, np.ones_like(x)  # claims descent available, never delivers
-
-        res = lbfgs_minimize(lying, np.zeros(4), max_iters=500)
-        assert res.steps == 0
-        assert np.array_equal(res.x, np.zeros(4))
-        assert res.line_search_failures == 20
-
-    def test_callback_stops_the_loop(self):
-        res = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), callback=lambda k, x, f: k >= 3)
-        assert res.steps == 3
-
-    def test_nonconvex_start_still_decreases(self):
-        def fun(x):
-            return float(np.cos(x[0])), np.array([-np.sin(x[0])])
-
-        res = lbfgs_minimize(fun, np.array([0.1]), max_iters=50)
-        assert res.fun <= np.cos(0.1)
-        assert np.isfinite(res.fun)
-
-
 class TestFitLBFGS:
     """`fit` with the lbfgs optimizer: one accepted step per epoch."""
 
@@ -602,6 +519,43 @@ class TestFitLBFGS:
         assert hist.train_loss[-1] < hist.train_loss[0]
         assert hist.val_metric[hist.best_epoch - 1] >= 0.9
         assert hist.best_epoch == int(np.argmin(hist.val_loss)) + 1
+
+    def test_training_loss_decreases_every_epoch(self):
+        x, y = make_two_gaussians(70, 4, seed=17)
+        split = make_split(x, y)
+        cfg = tiny_model_config()
+        params = init_model_params(cfg, np.random.default_rng(18))
+        x_tr, y_tr = split.train[0].values, split.train[1]
+        rows = np.arange(x_tr.shape[0])
+        start = training._batch_loss(params, cfg, x_tr, y_tr, rows, class_weights(y_tr)).item()
+        _, hist = fit(params, cfg, split, TrainConfig(optimizer="lbfgs", max_epochs=15, patience=15, seed=5))
+        assert len(hist.train_loss) == 15  # one accepted step per epoch, none skipped
+        losses = [start] + hist.train_loss
+        assert all(b < a for a, b in zip(losses, losses[1:])), losses
+
+    def test_non_finite_probe_after_first_epoch_ends_the_fit(self, monkeypatch):
+        x, y = make_two_gaussians(70, 4, seed=17)
+        split = make_split(x, y)
+        cfg = tiny_model_config()
+        validated = []  # one entry per epoch validated
+        real_eval, real_loss = training.evaluate_loss_metric, training._batch_loss
+
+        def counting_eval(*args):
+            validated.append(True)
+            return real_eval(*args)
+
+        def poisoned_loss(*args):
+            return None if len(validated) >= 3 else real_loss(*args)
+
+        monkeypatch.setattr(training, "evaluate_loss_metric", counting_eval)
+        monkeypatch.setattr(training, "_batch_loss", poisoned_loss)
+        params = init_model_params(cfg, np.random.default_rng(18))
+        _, hist = fit(params, cfg, split, TrainConfig(optimizer="lbfgs", max_epochs=30, patience=10, seed=5))
+        assert len(hist.train_loss) == 3  # the poisoned probe records no epoch
+        assert not hist.stopped_early
+        assert all(np.isfinite(p.data).all() for p in params.values())
+        val_loss, _ = real_eval(params, cfg, split.val[0].values, split.val[1], class_weights(split.train[1]))
+        assert val_loss == hist.val_loss[hist.best_epoch - 1] == min(hist.val_loss)
 
     def test_deterministic(self):
         x, y = make_two_gaussians(50, 4, seed=19)
