@@ -8,38 +8,159 @@ only the gradients still waiting to be passed on, and a later backward
 through the same graph counts each path once. The saved activations live as
 long as the graph does: drop the last reference to the output to free them.
 Only the primitives needed by this package are provided.
+
+Inside `workspace(...)`, ops record no tape and write their larger results
+into arrays that the calling thread keeps from one call to the next, so a
+repeated tape-free forward of one shape touches no fresh pages.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
+import math
+import sys
 import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import expit, ndtr
 
-# per-thread so concurrent fits and no-grad evaluations cannot interfere
-_GRAD_STATE = threading.local()
-
 # logit of a masked key: its exp underflows to exactly 0
 NEG_INF = -1e30
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# row counts of one key whose arrays a workspace keeps: a full tile and the
+# last partial one
+_WORKSPACE_ROW_COUNTS = 2
+
+
+class Workspace:
+    """Flat buffers that tape-free ops write their results into.
+
+    `empty` hands out the smallest pooled buffer that is large enough and
+    that nothing outside the pool refers to any more (no Tensor, view or
+    local), as a view of the requested shape, or else a new buffer. So a
+    buffer in use is never overwritten, and the pool grows to about one
+    call's live set, not to every array the call allocates. Pools are kept
+    per key and row count; see `use`.
+    """
+
+    def __init__(self):
+        self.key = None
+        self.pools: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+        self.sizes: list[int] = []  # of the current pool's buffers, ascending
+        self.buffers: list[np.ndarray] = []
+
+    def use(self, key, rows: int) -> None:
+        """Draw from the pool of `rows`-row calls under `key`. A new key drops
+        every pool; under one key only the pools of the last two row counts
+        are kept."""
+        if key != self.key:
+            self.key, self.pools = key, {}
+        self.pools[rows] = self.sizes, self.buffers = self.pools.pop(rows, ([], []))
+        if len(self.pools) > _WORKSPACE_ROW_COUNTS:
+            del self.pools[next(iter(self.pools))]
+
+    def empty(self, shape: tuple) -> np.ndarray:
+        size, buffers = math.prod(shape), self.buffers
+        first = bisect.bisect_left(self.sizes, size)
+        for i in range(first, len(buffers)):
+            # the pool's reference and getrefcount's argument: nothing else
+            if sys.getrefcount(buffers[i]) == 2:
+                return buffers[i][:size].reshape(shape)
+        self.sizes.insert(first, size)
+        buffers.insert(first, np.empty(size))
+        return buffers[first].reshape(shape)
+
+    def like(self, a: np.ndarray) -> np.ndarray | None:
+        """An array for an elementwise result of `a`, in the memory order
+        numpy would give it (C, or C with the last two axes swapped, as for
+        a swapaxes view); None for any other order, which numpy allocates."""
+        if a.flags.c_contiguous:
+            return self.empty(a.shape)
+        if a.ndim >= 2 and a.swapaxes(-1, -2).flags.c_contiguous:
+            return self.empty(a.swapaxes(-1, -2).shape).swapaxes(-1, -2)
+        return None
+
+    def broadcast(self, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+        """An array for an elementwise result of x and y when numpy would
+        give it C order: both operands are C-contiguous, or one of them is
+        and has the result's shape. None otherwise."""
+        shape = x.shape if x.shape == y.shape else np.broadcast(x, y).shape
+        if x.flags.c_contiguous and (y.flags.c_contiguous or x.shape == shape):
+            return self.empty(shape)
+        if y.flags.c_contiguous and y.shape == shape:
+            return self.empty(shape)
+        return None
+
+    def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """An array for x @ y, which numpy gives C order."""
+        batch = x.shape[:-2]
+        if y.ndim > 2 and y.shape[:-2] != batch:
+            batch = np.broadcast_shapes(batch, y.shape[:-2])
+        return self.empty(batch + (x.shape[-2], y.shape[-1]))
+
+
+class _ThreadState(threading.local):
+    """Per-thread switches, so concurrent fits and tape-free forwards cannot
+    interfere: whether ops record a tape, this thread's workspace (built on
+    its first `workspace` block) and whether ops write into it now."""
+
+    def __init__(self):
+        self.grad_enabled = True
+        self.workspace: Workspace | None = None
+        self.active: Workspace | None = None
+
+
+_STATE = _ThreadState()
 
 
 def _grad_enabled() -> bool:
-    return getattr(_GRAD_STATE, "enabled", True)
+    return _STATE.grad_enabled
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable graph construction inside the with-block."""
-    prev = _grad_enabled()
-    _GRAD_STATE.enabled = False
+    prev = _STATE.grad_enabled
+    _STATE.grad_enabled = False
     try:
         yield
     finally:
-        _GRAD_STATE.enabled = prev
+        _STATE.grad_enabled = prev
+
+
+@contextlib.contextmanager
+def workspace(key, rows: int):
+    """Record no tape inside the with-block, and write op results into this
+    thread's workspace, drawing from its pool for `rows`-row calls under
+    `key` (see `Workspace.use`). The arrays are reused by later blocks on
+    this thread, so a result that must outlive the block is copied out."""
+    ws = _STATE.workspace
+    if ws is None:
+        ws = _STATE.workspace = Workspace()
+    ws.use(key, rows)
+    prev = _STATE.active
+    _STATE.active = ws
+    try:
+        with no_grad():
+            yield
+    finally:
+        _STATE.active = prev
+
+
+def _copy(a: np.ndarray, ws: Workspace | None) -> np.ndarray:
+    """A C-contiguous copy of `a`, into an array of `ws` if there is one."""
+    if ws is None:
+        return a.copy()
+    out = ws.empty(a.shape)
+    out[...] = a
+    return out
+
+
+def _contiguous(a: np.ndarray, ws: Workspace | None) -> np.ndarray:
+    """np.ascontiguousarray(a), copying into an array of `ws` if needed."""
+    return a if a.flags.c_contiguous else _copy(a, ws)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -207,7 +328,7 @@ def _ensure(x) -> Tensor:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Tensor:
-    if _grad_enabled() and any(p.requires_grad for p in parents):
+    if _STATE.grad_enabled and any(p.requires_grad for p in parents):
         out = Tensor(data)
         out.requires_grad = True
         out._parents = tuple(parents)
@@ -221,13 +342,15 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Te
 
 def add(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
-    data = a.data + b.data
+    ws = _STATE.active
+    data = a.data + b.data if ws is None else np.add(a.data, b.data, out=ws.broadcast(a.data, b.data))
     return _node(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
-    data = a.data * b.data
+    ws = _STATE.active
+    data = a.data * b.data if ws is None else np.multiply(a.data, b.data, out=ws.broadcast(a.data, b.data))
     return _node(
         data,
         (a, b),
@@ -239,7 +362,8 @@ def matmul(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
-    data = a.data @ b.data
+    ws = _STATE.active
+    data = a.data @ b.data if ws is None else np.matmul(a.data, b.data, out=ws.matmul(a.data, b.data))
 
     def vjp(g):
         ga = _matmul_to(g, b.data.swapaxes(-1, -2), a.data.shape)
@@ -270,7 +394,8 @@ def linear(x, w, b) -> Tensor:
     """x @ w + b as one node. w is (K, P), or (H, K, P) per-head weights
     under a (B, H, M, K) input; b broadcasts over the product."""
     x, w, b = _ensure(x), _ensure(w), _ensure(b)
-    data = x.data @ w.data
+    ws = _STATE.active
+    data = x.data @ w.data if ws is None else np.matmul(x.data, w.data, out=ws.matmul(x.data, w.data))
     data += b.data
 
     def vjp(g):
@@ -284,10 +409,15 @@ def linear(x, w, b) -> Tensor:
 def layer_norm(x, scale, shift, eps: float) -> Tensor:
     """(x - mean) / sqrt(var + eps) * scale + shift over the last axis, as one node."""
     x, scale, shift = _ensure(x), _ensure(scale), _ensure(shift)
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
-    xhat = centered / std
-    data = xhat * scale.data + shift.data
+    xd, ws = x.data, _STATE.active
+    mean = xd.mean(axis=-1, keepdims=True)
+    centered = xd - mean if ws is None else np.subtract(xd, mean, out=ws.like(xd))
+    square = centered * centered if ws is None else np.multiply(centered, centered, out=ws.like(xd))
+    std = np.sqrt(square.mean(axis=-1, keepdims=True) + eps)
+    del square  # so that a workspace can reuse it for xhat
+    xhat = centered / std if ws is None else np.divide(centered, std, out=ws.like(xd))
+    data = xhat * scale.data if ws is None else np.multiply(xhat, scale.data, out=ws.like(xd))
+    data += shift.data
 
     def vjp(g):
         gx = g * scale.data
@@ -301,17 +431,17 @@ def layer_norm(x, scale, shift, eps: float) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
-    a = _ensure(a)
-    data = expit(a.data)
+    a, ws = _ensure(a), _STATE.active
+    data = expit(a.data) if ws is None else expit(a.data, out=ws.like(a.data))
     return _node(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
 def gelu(a) -> Tensor:
     """Exact x * Phi(x), Phi the standard normal CDF; not the tanh approximation."""
-    a = _ensure(a)
+    a, ws = _ensure(a), _STATE.active
     x = a.data
-    cdf = ndtr(x)
-    data = x * cdf
+    cdf = ndtr(x) if ws is None else ndtr(x, out=ws.like(x))
+    data = x * cdf if ws is None else np.multiply(x, cdf, out=ws.like(x))
 
     def vjp(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
@@ -321,9 +451,9 @@ def gelu(a) -> Tensor:
 
 
 def silu(a) -> Tensor:
-    a = _ensure(a)
-    s = expit(a.data)
-    data = a.data * s
+    a, ws = _ensure(a), _STATE.active
+    s = expit(a.data) if ws is None else expit(a.data, out=ws.like(a.data))
+    data = a.data * s if ws is None else np.multiply(a.data, s, out=ws.like(a.data))
 
     def vjp(g):
         return (g * s * (1.0 + a.data * (1.0 - s)),)
@@ -385,8 +515,16 @@ def split_heads(flat, heads: int) -> Tensor:
     """(B, N, H*Dh) -> C-contiguous (B, H, N, Dh), one transpose copy."""
     flat = _ensure(flat)
     b, n, width = flat.data.shape
-    data = np.ascontiguousarray(flat.data.reshape(b, n, heads, width // heads).transpose(0, 2, 1, 3))
+    data = _contiguous(flat.data.reshape(b, n, heads, width // heads).transpose(0, 2, 1, 3), _STATE.active)
     return _node(data, (flat,), lambda g: (g.transpose(0, 2, 1, 3).reshape(b, n, width),))
+
+
+def merge_heads(t) -> Tensor:
+    """(B, H, N, Dh) -> C-contiguous (B, N, H*Dh), the inverse of split_heads."""
+    t = _ensure(t)
+    b, h, n, dh = t.data.shape
+    data = _contiguous(t.data.transpose(0, 2, 1, 3), _STATE.active).reshape(b, n, h * dh)
+    return _node(data, (t,), lambda g: (g.reshape(b, n, h, dh).transpose(0, 2, 1, 3),))
 
 
 def concatenate(tensors: Iterable, axis: int = -1) -> Tensor:
@@ -421,13 +559,17 @@ def getitem(a, key) -> Tensor:
 def gather_blocks(t, idx: np.ndarray) -> Tensor:
     """Gather (possibly overlapping) token blocks shared across batch and head.
 
-    t: (B, H, N, Dh); idx: int array (M, L) of token positions.
+    t: (B, H, N, Dh); idx: int array (M, L) of token positions in [0, N),
+    which the caller guarantees: an index outside is clipped, not rejected.
     Returns a C-contiguous (B, H, M, L, Dh) with out[b,h,m,j] = t[b,h,idx[m,j]].
     """
     t = _ensure(t)
     idx = np.asarray(idx, dtype=np.intp)
-    data = t.data.take(idx, axis=2)
     B, H, N, Dh = t.data.shape
+    ws = _STATE.active
+    # "clip" because `take` buffers `out` in its default "raise" mode
+    out = None if ws is None else ws.empty((B, H) + idx.shape + (Dh,))
+    data = t.data.take(idx, axis=2, out=out, mode="clip")
 
     def vjp(g):
         onehot = (np.arange(N)[:, None] == idx.reshape(-1)).astype(np.float64)  # (N, M*L)
@@ -439,8 +581,9 @@ def gather_blocks(t, idx: np.ndarray) -> Tensor:
 def gather_selected(t, idx: np.ndarray) -> Tensor:
     """Gather per-sample, per-query token positions, shared across heads.
 
-    t: (B, H, N, Dh); idx: int array (B, T, S) of token positions for each of
-    T queries. Returns a C-contiguous (B, H, T, S, Dh) with
+    t: (B, H, N, Dh); idx: int array (B, T, S) of token positions in [0, N)
+    for each of T queries, as in `gather_blocks` guaranteed by the caller.
+    Returns a C-contiguous (B, H, T, S, Dh) with
     out[b,h,t,s] = t[b,h,idx[b,t,s]]: one `take` of Dh-wide rows at flat
     offsets (b*H + h)*N + idx[b,t,s] of the contiguous (B*H*N, Dh) layout.
     """
@@ -450,7 +593,9 @@ def gather_selected(t, idx: np.ndarray) -> Tensor:
     _, T, S = idx.shape
     offsets = (np.arange(B)[:, None] * H + np.arange(H)) * N  # (B, H)
     rows = np.ascontiguousarray(t.data).reshape(B * H * N, Dh)
-    data = rows.take(offsets[:, :, None, None] + idx[:, None], axis=0)
+    ws = _STATE.active
+    out = None if ws is None else ws.empty((B, H, T, S, Dh))
+    data = rows.take(offsets[:, :, None, None] + idx[:, None], axis=0, out=out, mode="clip")
 
     def vjp(g):
         onehot = (np.arange(N)[:, None] == idx.reshape(B, 1, 1, T * S)).astype(np.float64)  # (B, 1, N, T*S)
@@ -462,17 +607,19 @@ def gather_selected(t, idx: np.ndarray) -> Tensor:
 # -- softmax attention ----------------------------------------------------
 
 
-def _masked_softmax(logits: np.ndarray, valid: np.ndarray | None) -> np.ndarray:
-    """Softmax over the last axis without the keys outside `valid`; a row
-    with no valid key is all zeros. Max and sum run over slices of the last
-    axis, which beats numpy's reductions along a short axis severalfold."""
+def _masked_softmax(logits: np.ndarray, valid: np.ndarray | None, ws: Workspace | None) -> np.ndarray:
+    """Softmax over the last axis without the keys outside `valid`, computed
+    in place in `logits`, which the caller must own; a row with no valid key
+    is all zeros. Max and sum run over slices of the last axis, which beats
+    numpy's reductions along a short axis severalfold."""
     if valid is not None:
-        logits = np.where(valid, logits, NEG_INF)
-    top = logits[..., 0]
+        np.copyto(logits, NEG_INF, where=~valid)
+    top = _copy(logits[..., 0], ws)
     for j in range(1, logits.shape[-1]):
-        top = np.maximum(top, logits[..., j])
-    e = np.exp(logits - top[..., None])
-    total = e[..., 0].copy()
+        np.maximum(top, logits[..., j], out=top)
+    logits -= top[..., None]
+    e = np.exp(logits, out=logits)
+    total = _copy(e[..., 0], ws)
     for j in range(1, e.shape[-1]):
         total += e[..., j]
     e /= total[..., None]
@@ -491,7 +638,10 @@ def attention_weights(q, k, valid: np.ndarray | None = None) -> Tensor:
     """
     q, k = _ensure(q), _ensure(k)
     scale = 1.0 / np.sqrt(q.data.shape[-1])
-    p = _masked_softmax((q.data @ k.data.swapaxes(-1, -2)) * scale, valid)
+    kt, ws = k.data.swapaxes(-1, -2), _STATE.active
+    logits = q.data @ kt if ws is None else np.matmul(q.data, kt, out=ws.matmul(q.data, kt))
+    logits *= scale
+    p = _masked_softmax(logits, valid, ws)
 
     def vjp(g):
         ds = p * (g - (g * p).sum(axis=-1, keepdims=True)) * scale
@@ -511,10 +661,13 @@ def attend(q, keys, values, valid: np.ndarray | None = None) -> tuple[Tensor, np
     """
     q, keys, values = _ensure(q), _ensure(keys), _ensure(values)
     # einsum is several times faster when its operands share one C layout
-    qd, kd, vd = (np.ascontiguousarray(t.data) for t in (q, keys, values))
+    ws = _STATE.active
+    qd, kd, vd = (_contiguous(t.data, ws) for t in (q, keys, values))
     scale = 1.0 / np.sqrt(qd.shape[-1])
-    p = _masked_softmax(np.einsum("...d,...sd->...s", qd, kd) * scale, valid)
-    out = np.einsum("...s,...sd->...d", p, vd)
+    logits = np.einsum("...d,...sd->...s", qd, kd, out=None if ws is None else ws.empty(kd.shape[:-1]))
+    logits *= scale
+    p = _masked_softmax(logits, valid, ws)
+    out = np.einsum("...s,...sd->...d", p, vd, out=None if ws is None else ws.empty(qd.shape))
 
     def vjp(g):
         g = np.ascontiguousarray(g)

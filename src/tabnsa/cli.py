@@ -301,11 +301,15 @@ def _metric_name(report_dict: dict) -> str:
     return "macro_f1"
 
 
-def _train_once(cfg: dict, raw, seed: int):
-    """One seed of the train pipeline: split, fit, score the test set once."""
+def _train_once(cfg: dict, raw, seed: int, out_dir: str | None = None):
+    """One seed of the train pipeline: split, fit, score the test set once.
+    `out_dir` is created once the seed's configs are built, so a rejected
+    config leaves no directory behind."""
     split, state = prepare_dataset(raw, seed)
     model_cfg = build_model_config(cfg, split)
     train_cfg = dataclasses.replace(build_train_config(cfg["train"]), seed=seed)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
     params, history = fit_model(model_cfg, split, train_cfg, seed)
     report = evaluation_report(params, model_cfg, *split.test)
     total_flops, _ = count_flops(model_cfg, batch_size=1)
@@ -344,10 +348,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = apply_flag_overrides(load_config(args.config), args)
     seeds = parse_seeds(args.seeds)
     raw = load_table(cfg)
-    os.makedirs(args.out, exist_ok=True)
     summaries = []
     for seed in seeds:
-        summary, params, history, model_cfg, state = _train_once(cfg, raw, seed)
+        summary, params, history, model_cfg, state = _train_once(cfg, raw, seed, args.out)
         summaries.append(summary)
         tag = f"s{seed}"
         _write_json(os.path.join(args.out, f"report_{tag}.json"), summary)

@@ -241,9 +241,10 @@ def forward(x: np.ndarray, params: dict, config: ModelConfig) -> Tensor:
 
 
 def _forward_tile(x: np.ndarray, params: dict, config: ModelConfig) -> np.ndarray:
-    # the grad switch is per thread, so a pool thread must turn it off itself
-    with ad.no_grad():
-        return _forward(x, params, config).data
+    # the workspace also turns this thread's tape off; the logits are copied
+    # out of it, since the next tile on this thread reuses its arrays
+    with ad.workspace(config, len(x)):
+        return _forward(x, params, config).data.copy()
 
 
 def _forward(x: np.ndarray, params: dict, config: ModelConfig) -> Tensor:

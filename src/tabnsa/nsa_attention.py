@@ -111,26 +111,40 @@ def project_qkv(x: Tensor, params: dict, cfg: NSAConfig):
     return tuple(ad.split_heads(x @ params[w], cfg.heads) for w in ("w_q", "w_k", "w_v"))
 
 
-def compress_tokens(kv: Tensor, cfg: NSAConfig, phi: dict | None) -> Tensor:
-    """Aggregate strided token blocks into compressed tokens.
+def _checked_plan(idx: np.ndarray, n_tokens: int) -> np.ndarray:
+    """`idx`, made read-only, once every entry is a token position in
+    [0, n_tokens): the gathers clip an index outside instead of raising."""
+    if idx.min() < 0 or idx.max() >= n_tokens:
+        raise IndexError(f"token index plan leaves [0, {n_tokens})")
+    idx.flags.writeable = False
+    return idx
 
-    Block i covers tokens [i*d, i*d + l); when N < l a single zero-padded
-    block spans all tokens. phi is the per-head MLP parameter dict, or None
-    for the plain block-mean reduction used as a test oracle.
-    """
-    b, h, n, dh = kv.shape
+
+@lru_cache(maxsize=256)
+def compression_indices(cfg: NSAConfig, n_tokens: int) -> np.ndarray:
+    """Token positions (M, l) of each compressed block: block i covers
+    [i*d, i*d + l). When N < l, one block lists the N tokens and then
+    token 0 as padding. Cached per argument tuple and read-only."""
     l, d = cfg.compress_block, cfg.compress_stride
-    m = cfg.n_compressed(n)
-    if n >= l:
-        idx = np.arange(m)[:, None] * d + np.arange(l)[None, :]
-        blocks = ad.gather_blocks(kv, idx)  # (B, H, M, l, Dh)
+    if n_tokens >= l:
+        idx = np.arange(cfg.n_compressed(n_tokens))[:, None] * d + np.arange(l)[None, :]
     else:
-        idx = np.concatenate([np.arange(n), np.zeros(l - n, dtype=np.intp)])[None, :]
+        idx = np.concatenate([np.arange(n_tokens), np.zeros(l - n_tokens, dtype=np.intp)])[None, :]
+    return _checked_plan(idx, n_tokens)
+
+
+def compress_tokens(kv: Tensor, cfg: NSAConfig, phi: dict) -> Tensor:
+    """Aggregate the token blocks of `compression_indices` into compressed
+    tokens with phi, the per-head MLP parameter dict; when N < l the single
+    block's padding slots are zeroed first."""
+    b, h, n, dh = kv.shape
+    l = cfg.compress_block
+    blocks = ad.gather_blocks(kv, compression_indices(cfg, n))  # (B, H, M, l, Dh)
+    if n < l:
         keep = np.zeros((1, l, 1))
         keep[0, :n, 0] = 1.0
-        blocks = ad.gather_blocks(kv, idx) * Tensor(keep)
-    if phi is None:
-        return blocks.mean(axis=3)
+        blocks = blocks * Tensor(keep)
+    m = blocks.shape[2]
     blocks = blocks + phi["pos"]  # (l, Dh) broadcasts over (B, H, M, l, Dh)
     flat = blocks.reshape(b, h, m, l * dh)
     hidden = ad.gelu(ad.linear(flat, phi["w1"], phi["b1"]))  # per-head weights (H, K, K)
@@ -198,6 +212,8 @@ def select_blocks(
     valid = tok < n_tokens
     if cfg.causal:
         valid &= tok <= np.arange(n_q)[None, :, None]
+    # the padded tail block's positions past N are masked out above; the
+    # clip keeps every index the gathers see in [0, N)
     tok_safe = np.clip(tok, 0, n_tokens - 1)
     k_slc = ad.gather_selected(k, tok_safe)
     v_slc = ad.gather_selected(v, tok_safe)
@@ -221,18 +237,13 @@ def window_indices(n_tokens: int, w: int, causal: bool):
     else:
         start = np.clip(t - (w_eff - 1) // 2, 0, n_tokens - w_eff)
         idx, valid = start + s, np.ones((n_tokens, w_eff), dtype=bool)
-    idx.flags.writeable = valid.flags.writeable = False
-    return idx, valid
+    valid.flags.writeable = False
+    return _checked_plan(idx, n_tokens), valid
 
 
 def _per_query_attention(q: Tensor, keys: Tensor, values: Tensor, valid: np.ndarray | None):
     """q: (B,H,N,Dh); keys/values: (B,H,N,S,Dh). Returns ((B,H,N,Dh), weights array)."""
     return ad.attend(q, keys, values, valid)
-
-
-def _merge_heads(t: Tensor) -> Tensor:
-    b, h, n, dh = t.shape
-    return t.swapaxes(1, 2).reshape(b, n, h * dh)
 
 
 def gated_combine(branches: tuple, params: dict, x: Tensor):
@@ -270,15 +281,14 @@ def nsa_forward(x: Tensor, params: dict, cfg: NSAConfig) -> AttentionOutput:
         block_visible = np.broadcast_to(block_visible, (b, n, n_slc))
     selected, k_slc, v_slc, _, tok_valid = select_blocks(p_slc, k, v, cfg, block_visible)
     slc_out, slc_att = _per_query_attention(q, k_slc, v_slc, tok_valid[:, None, :, :])
+    del k_slc, v_slc  # without a tape this frees them before the window gathers
 
     # sliding-window branch
     win_idx, win_valid = window_indices(n, cfg.window, cfg.causal)
-    k_win = ad.gather_blocks(k, win_idx)
-    v_win = ad.gather_blocks(v, win_idx)
     win_mask = None if win_valid.all() else win_valid[None, None, :, :]
-    win_out, win_att = _per_query_attention(q, k_win, v_win, win_mask)
+    win_out, win_att = _per_query_attention(q, ad.gather_blocks(k, win_idx), ad.gather_blocks(v, win_idx), win_mask)
 
-    branches = (_merge_heads(cmp_out), _merge_heads(slc_out), _merge_heads(win_out))
+    branches = (ad.merge_heads(cmp_out), ad.merge_heads(slc_out), ad.merge_heads(win_out))
     output, gates = gated_combine(branches, params, x)
 
     def rows_valid(mask, shape):

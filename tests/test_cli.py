@@ -184,7 +184,7 @@ class TestExitCodes:
         code = main(["train", "--config", str(p), "--csv", toy_csv, "--target", "label", "--out", str(out)])
         assert code == 2
         assert "history" in capsys.readouterr().err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_bad_seed_list(self, fast_config, tmp_path, capsys):
         code = main(["train", "--config", fast_config, "--out", str(tmp_path / "o"), "--seeds", "9..1"])

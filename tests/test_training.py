@@ -582,7 +582,7 @@ def benchmark_config(regression=False, heads=2, head_dim=8, compress_block=4):
 
 def serial_tiles(x, params, cfg):
     """The tiled forward's reference: `_forward` on each TILE_ROWS slice in
-    order on the calling thread, concatenated."""
+    order on the calling thread, outside any workspace, concatenated."""
     with ad.no_grad():
         tiles = [model._forward(x[i:i + TILE_ROWS], params, cfg).data for i in range(0, len(x), TILE_ROWS)]
     return np.concatenate(tiles)
@@ -641,9 +641,10 @@ class TestTiledInference:
             want = serial_tiles(x[:rows], params, cfg)
             for cores in (1, 2, 3):
                 with usable_cores(cores), ad.no_grad():
-                    got = forward(x[:rows], params, cfg).data
+                    # the second request runs in the arrays the first left
+                    got = [forward(x[:rows], params, cfg).data for _ in range(2)]
                     assert (model._TILE_POOL is None) == (cores == 1)
-                assert np.array_equal(got, want), (rows, cores)
+                assert np.array_equal(got[0], want) and np.array_equal(got[1], want), (rows, cores)
 
     def test_every_tile_runs_without_a_tape_on_a_pool_thread(self, monkeypatch):
         cfg = benchmark_config()
@@ -694,6 +695,102 @@ class TestTiledInference:
         assert not any(t.is_alive() for t in threads)
         assert got == [[w] * 3 for w in want]
 
+    def test_concurrent_callers_with_different_configs_get_the_serial_bytes(self):
+        """Pool threads switch between two configs' workspaces while both
+        callers score."""
+        cfgs = [TILE_CONFIGS["default"], TILE_CONFIGS["mid"]]
+        params = [init_model_params(cfg, 12) for cfg in cfgs]
+        x = np.random.default_rng(13).normal(size=(1000, 15))
+        want = [serial_tiles(x, p, cfg) for p, cfg in zip(params, cfgs)]
+        got = [[] for _ in cfgs]
+        start = threading.Barrier(len(cfgs))
+
+        def client(i):
+            start.wait(timeout=60)
+            for _ in range(3):
+                with ad.no_grad():
+                    got[i].append(forward(x, params[i], cfgs[i]).data)
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in range(len(cfgs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with usable_cores(2):
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i in range(len(cfgs)):
+            assert len(got[i]) == 3 and all(np.array_equal(g, want[i]) for g in got[i])
+
+    def test_a_held_result_survives_the_next_request(self):
+        cfg = benchmark_config()
+        params = init_model_params(cfg, 14)
+        x1, x2 = (np.random.default_rng(seed).normal(size=(1000, 15)) for seed in (15, 16))
+        with usable_cores(2):
+            probs = training.predict_proba(params, cfg, x1)
+            with ad.no_grad():
+                logits = forward(x1, params, cfg)
+            kept = probs.copy(), logits.data.copy()
+            training.predict_proba(params, cfg, x2)
+            with ad.no_grad():
+                forward(x2, params, cfg)
+        assert np.array_equal(probs, kept[0]) and np.array_equal(logits.data, kept[1])
+
+    @pytest.mark.parametrize("geometry", [(2, 8, 4), (4, 24, 8)], ids=["default", "mid"])
+    def test_a_repeated_request_allocates_only_its_result(self, geometry):
+        """Once each pool thread has run a tile of this shape, a request
+        allocates its probabilities plus at most 3 MiB: the copied logits
+        and, per tile in flight, the selection scores and index arrays that
+        stay outside the workspace (1.3 MiB at mid). With every tile
+        allocated afresh, a request took 14 MiB more at the default geometry
+        and 80 MiB more at mid."""
+        allowance = 3 * 2**20
+        cfg = benchmark_config(False, *geometry)
+        params = init_model_params(cfg, 0)
+        x = np.random.default_rng(17).normal(size=(8 * TILE_ROWS, 15))
+        with usable_cores(2):
+            for _ in range(3):
+                training.predict_proba(params, cfg, x)
+            tracemalloc.start()
+            try:
+                probs = training.predict_proba(params, cfg, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= probs.nbytes + allowance, f"{peak / 2**20:.2f} MiB"
+
+    def test_the_workspace_holds_only_the_latest_config_and_row_counts(self):
+        """Scoring with one config, then another with partial tiles of many
+        sizes, leaves the same arrays as the last config's full and last
+        partial tile alone: neither a config switch nor a new partial size
+        grows the workspace."""
+        old, new = TILE_CONFIGS["mid"], TILE_CONFIGS["default"]
+        x = np.random.default_rng(18).normal(size=(TILE_ROWS + 9, 15))
+
+        def pool_after(requests):
+            held = []
+
+            def run():
+                for cfg, rows in requests:
+                    training.predict_proba(init_model_params(cfg, 0), cfg, x[:rows])
+                ws = ad._STATE.workspace
+                held.append((ws.key, {rows: sizes for rows, (sizes, _) in ws.pools.items()}))
+
+            thread = threading.Thread(target=run)  # a thread with no workspace yet
+            with usable_cores(1):  # the tiles run on that thread
+                thread.start()
+                thread.join(timeout=60)
+            assert not thread.is_alive()
+            return held[0]
+
+        switched = pool_after([(old, TILE_ROWS + 9)] + [(new, TILE_ROWS + r) for r in range(1, 10)])
+        assert switched == pool_after([(new, TILE_ROWS + 9)])
+        assert switched[0] == new and sorted(switched[1]) == [9, TILE_ROWS]
+
     @pytest.mark.parametrize("row", [150, -1], ids=["middle_tile", "last_row"])
     def test_non_finite_feature_fails_before_any_tile_runs(self, row, monkeypatch):
         cfg = benchmark_config()
@@ -708,19 +805,23 @@ class TestTiledInference:
 
     def test_forked_child_scores_with_a_pool_of_its_own(self):
         """A `fork` child inherits the parent's pool object but none of its
-        threads; it must build its own and score the same bytes."""
-        script = textwrap.dedent("""
+        threads; it must build its own and score the same bytes. On one
+        core the tiles run on the forking thread, so the child's first
+        request runs in the workspace it inherited from that thread."""
+        template = textwrap.dedent("""
             import multiprocessing
             import numpy as np
-            from tabnsa import model, training
+            from tabnsa import autodiff, model, training
             from test_training import benchmark_config
 
-            model._usable_cores = lambda: 2  # a pool even on one core
+            cores = {cores}
+            model._usable_cores = lambda: cores  # a pool even on one core
             cfg = benchmark_config()
             params = model.init_model_params(cfg, 0)
             x = np.random.default_rng(11).normal(size=(1000, 15))
             parent = training.predict_proba(params, cfg, x).tobytes()
-            assert model._TILE_POOL is not None
+            assert (model._TILE_POOL is None) == (cores == 1)
+            assert (autodiff._STATE.workspace is None) == (cores > 1)
 
             def child(conn):
                 conn.send((model._TILE_POOL is None, training.predict_proba(params, cfg, x).tobytes()))
@@ -739,9 +840,11 @@ class TestTiledInference:
         src = str(Path(model.__file__).resolve().parents[1])
         tests = str(Path(__file__).resolve().parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=180)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["True", "True", "True"]
+        for cores in (1, 2):
+            script = template.replace("{cores}", str(cores))
+            done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=180)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.split() == ["True", "True", "True"], cores
 
     def test_validation_loss_matches_one_untiled_pass(self):
         cfg = benchmark_config()
