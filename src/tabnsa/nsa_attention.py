@@ -197,13 +197,18 @@ def select_blocks(
     break toward the lower block index; chosen blocks are gathered in
     ascending order so token order is preserved. Returns
     (indices (B,1,N,n), k_slc, v_slc (B,H,N,n*l',Dh), token positions, token validity).
+    When every query selects every block and nothing is masked, each sees
+    all N tokens in order, so this returns (all indices, k, v, None, None)
+    and the branch is full attention over the shared keys.
     """
-    b, _, n_q, _ = p_slc.shape
+    b, _, n_q, n_slc = p_slc.shape
     n_tokens = k.shape[2]
+    n_eff = cfg.effective_selected(n_tokens)
+    if n_eff == n_slc and block_visible is None and not cfg.causal:
+        return np.broadcast_to(np.arange(n_slc), (b, 1, n_q, n_slc)).copy(), k, v, None, None
     scores = p_slc.mean(axis=1)  # (B, N, N_slc)
     if block_visible is not None:
         scores = np.where(block_visible, scores, -np.inf)
-    n_eff = cfg.effective_selected(n_tokens)
     top = np.argsort(-scores, axis=-1, kind="stable")[..., :n_eff]
     blocks = np.sort(top, axis=-1)  # (B, N, n_eff)
     lp = cfg.select_block
@@ -242,7 +247,11 @@ def window_indices(n_tokens: int, w: int, causal: bool):
 
 
 def _per_query_attention(q: Tensor, keys: Tensor, values: Tensor, valid: np.ndarray | None):
-    """q: (B,H,N,Dh); keys/values: (B,H,N,S,Dh). Returns ((B,H,N,Dh), weights array)."""
+    """q: (B,H,N,Dh); keys/values: (B,H,S,Dh) shared by every query, or
+    (B,H,N,S,Dh) gathered per query. Returns ((B,H,N,Dh), weights array)."""
+    if keys.ndim == 4:
+        p = ad.attention_weights(q, keys, valid)
+        return p @ values, p.data
     return ad.attend(q, keys, values, valid)
 
 
@@ -280,13 +289,17 @@ def nsa_forward(x: Tensor, params: dict, cfg: NSAConfig) -> AttentionOutput:
         block_visible = (np.arange(n_slc) * cfg.select_block)[None, None, :] <= np.arange(n)[None, :, None]
         block_visible = np.broadcast_to(block_visible, (b, n, n_slc))
     selected, k_slc, v_slc, _, tok_valid = select_blocks(p_slc, k, v, cfg, block_visible)
-    slc_out, slc_att = _per_query_attention(q, k_slc, v_slc, tok_valid[:, None, :, :])
+    slc_mask = None if tok_valid is None else tok_valid[:, None, :, :]
+    slc_out, slc_att = _per_query_attention(q, k_slc, v_slc, slc_mask)
     del k_slc, v_slc  # without a tape this frees them before the window gathers
 
     # sliding-window branch
     win_idx, win_valid = window_indices(n, cfg.window, cfg.causal)
     win_mask = None if win_valid.all() else win_valid[None, None, :, :]
-    win_out, win_att = _per_query_attention(q, ad.gather_blocks(k, win_idx), ad.gather_blocks(v, win_idx), win_mask)
+    if cfg.window >= n and not cfg.causal:  # every query sees all N tokens in order
+        win_out, win_att = _per_query_attention(q, k, v, win_mask)
+    else:
+        win_out, win_att = _per_query_attention(q, ad.gather_blocks(k, win_idx), ad.gather_blocks(v, win_idx), win_mask)
 
     branches = (ad.merge_heads(cmp_out), ad.merge_heads(slc_out), ad.merge_heads(win_out))
     output, gates = gated_combine(branches, params, x)
@@ -305,7 +318,7 @@ def nsa_forward(x: Tensor, params: dict, cfg: NSAConfig) -> AttentionOutput:
         attn_weights={"cmp": p_cmp.data, "slc": slc_att, "win": win_att},
         attn_valid={
             "cmp": rows_valid(None if cmp_valid is None else cmp_valid[None, None, :, :], (b, h, n)),
-            "slc": rows_valid(tok_valid[:, None, :, :], (b, h, n)),
+            "slc": rows_valid(slc_mask, (b, h, n)),
             "win": rows_valid(win_mask, (b, h, n)),
         },
     )

@@ -1,13 +1,20 @@
 """Dense softmax attention over all keys: the reference the sparse branches
 are checked against. Built on the compression-weights node, so only tests
 carry it. Also the block-mean compressor, a parameter-free stand-in for the
-compression MLP."""
+compression MLP, and the gathered form of a sparse branch that sees every
+token, against which its shared-key product is checked."""
 
 import numpy as np
 
 from tabnsa import autodiff as ad
 from tabnsa.autodiff import Tensor
-from tabnsa.nsa_attention import NSAConfig, compression_indices, compression_scores
+from tabnsa.nsa_attention import (
+    NSAConfig,
+    compression_indices,
+    compression_scores,
+    select_blocks,
+    window_indices,
+)
 
 
 def block_mean_tokens(kv: Tensor, cfg: NSAConfig) -> Tensor:
@@ -27,3 +34,29 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Ten
     n = q.shape[2]
     valid = np.tril(np.ones((n, n), dtype=bool)) if causal else None
     return compression_scores(q, k, valid) @ v
+
+
+def gathered_select_all(p_slc: np.ndarray, k: Tensor, v: Tensor, cfg: NSAConfig, block_visible=None):
+    """`select_blocks` with every query that selects every selection block
+    taken the gathered way: each query gathers all n*l' slots with
+    `gather_selected`, and the padded tail block's slots past N are clipped
+    and masked. Any other selection is `select_blocks`' own gathered path."""
+    b, _, n_q, n_slc = p_slc.shape
+    n = k.shape[2]
+    if cfg.effective_selected(n) < n_slc or block_visible is not None or cfg.causal:
+        return select_blocks(p_slc, k, v, cfg, block_visible)
+    slots = np.arange(n_slc * cfg.select_block)
+    tok = np.broadcast_to(np.minimum(slots, n - 1), (b, n_q, slots.size))
+    valid = np.broadcast_to(slots < n, tok.shape)
+    blocks = np.broadcast_to(np.arange(n_slc), (b, 1, n_q, n_slc))
+    return blocks, ad.gather_selected(k, tok), ad.gather_selected(v, tok), tok, valid
+
+
+def gathered_attention(q: Tensor, keys: Tensor, values: Tensor, valid):
+    """`_per_query_attention` with keys shared by every query (B, H, N, Dh)
+    first gathered per query through a covering window's plan, then
+    attended one query at a time with `attend`."""
+    if keys.ndim == 4:
+        idx, _ = window_indices(keys.shape[2], keys.shape[2], False)
+        keys, values = ad.gather_blocks(keys, idx), ad.gather_blocks(values, idx)
+    return ad.attend(q, keys, values, valid)

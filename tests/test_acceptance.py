@@ -115,6 +115,11 @@ class TestGradientSuite:
         dict(fusion="r", num_blocks=1, causal=False, regression=False, feature_ids=False),
         dict(fusion="o", num_blocks=1, causal=True, regression=False, feature_ids=True),
         dict(fusion="m", num_blocks=2, causal=False, regression=False, feature_ids=True),
+        # every query selects all 3 blocks (the last one padded) and the
+        # window covers all 5 tokens: both sparse branches are shared-key products
+        dict(fusion="o", num_blocks=2, causal=False, regression=False, feature_ids=True, tokens=5,
+             nsa=NSAConfig(dim=6, heads=2, head_dim=3, window=5, compress_block=4, compress_stride=2,
+                           select_block=2, num_selected=3)),
     ]
 
     def test_every_parameter_path_matches_finite_differences(self):
@@ -122,8 +127,11 @@ class TestGradientSuite:
         rng = np.random.default_rng(202)
         for i, variant in enumerate(self.MODEL_VARIANTS):
             n_tokens = int(rng.integers(4, 7))
+            nsa_cfg = random_nsa_config(rng, n_tokens, causal=variant["causal"])
+            if "nsa" in variant:
+                nsa_cfg, n_tokens = variant["nsa"], variant["tokens"]
             cfg = ModelConfig(
-                nsa=random_nsa_config(rng, n_tokens, causal=variant["causal"]),
+                nsa=nsa_cfg,
                 num_tokens=n_tokens,
                 num_classes=3,
                 regression=variant["regression"],

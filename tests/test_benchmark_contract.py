@@ -28,11 +28,22 @@ COMPONENTS = (
 TAPE_NODE_BUDGET = 100
 
 
-def default_config() -> ModelConfig:
+def default_config(**nsa_over) -> ModelConfig:
     """The benchmark's default geometry: 15 tokens, fusion o."""
-    nsa = NSAConfig(dim=16, heads=2, head_dim=8, window=3, compress_block=4, compress_stride=2,
-                    select_block=2, num_selected=2)
-    return ModelConfig(nsa=nsa, num_tokens=15)
+    nsa = dict(dim=16, heads=2, head_dim=8, window=3, compress_block=4, compress_stride=2,
+               select_block=2, num_selected=2)
+    nsa.update(nsa_over)
+    return ModelConfig(nsa=NSAConfig(**nsa), num_tokens=15)
+
+
+# the probes replay the stages by name on every branch path: the default
+# gathers both sparse branches; at the others one of them is a shared-key
+# product over all 15 tokens
+PROBED_CONFIGS = {
+    "default": {},
+    "all_selected": dict(compress_block=8, select_block=8),
+    "covering_window": dict(window=15),
+}
 
 
 def load_probes():
@@ -61,10 +72,6 @@ def tape_nodes(out) -> int:
 
 
 def test_component_probes_report_every_layer_metric():
-    config = default_config()
-    params = init_model_params(config, 0)
-    x = np.random.default_rng(0).normal(size=(2, config.num_tokens))
-    metrics = load_probes().component_metrics(tabnsa, x, params, config)
     expected = set()
     for comp in COMPONENTS:
         prefix = comp if comp == "tabmixer" else f"nsa_attention.{comp}"
@@ -73,8 +80,14 @@ def test_component_probes_report_every_layer_metric():
             kinds += ("bwd_ms",)
         expected |= {f"{prefix}.{kind}" for kind in kinds}
     assert len(expected) == 31
-    assert set(metrics) == expected
-    assert all(np.isfinite(v) and v >= 0.0 for v in metrics.values())
+    probes = load_probes()
+    for geometry, over in PROBED_CONFIGS.items():
+        config = default_config(**over)
+        params = init_model_params(config, 0)
+        x = np.random.default_rng(0).normal(size=(2, config.num_tokens))
+        metrics = probes.component_metrics(tabnsa, x, params, config)
+        assert set(metrics) == expected, geometry
+        assert all(np.isfinite(v) and v >= 0.0 for v in metrics.values()), geometry
 
 
 def test_training_step_tape_fits_the_node_budget():
@@ -106,13 +119,15 @@ def test_tape_free_request_is_one_forward_call(monkeypatch):
 
 
 def test_grad_mode_forward_is_one_untiled_pass():
-    config = default_config()
-    params = init_model_params(config, 0)
-    x = np.random.default_rng(3).normal(size=(300, config.num_tokens))
-    calls = load_probes()._capture(tabnsa, x, params, config)
-    assert {name: len(c) for name, c in calls.items()} == {
-        "project_qkv": 1, "compress_tokens": 2, "compression_scores": 1, "map_selection_scores": 1,
-        "select_blocks": 1, "_per_query_attention": 2, "gated_combine": 1, "tabmixer_forward": 1,
-    }
-    assert calls["project_qkv"][0][0]["x"].shape[0] == 300
-    assert tape_nodes(forward(x, params, config)) == tape_nodes(forward(x[:32], params, config))
+    probes = load_probes()
+    x = np.random.default_rng(3).normal(size=(300, 15))
+    for geometry, over in PROBED_CONFIGS.items():
+        config = default_config(**over)
+        params = init_model_params(config, 0)
+        calls = probes._capture(tabnsa, x, params, config)
+        assert {name: len(c) for name, c in calls.items()} == {
+            "project_qkv": 1, "compress_tokens": 2, "compression_scores": 1, "map_selection_scores": 1,
+            "select_blocks": 1, "_per_query_attention": 2, "gated_combine": 1, "tabmixer_forward": 1,
+        }, geometry
+        assert calls["project_qkv"][0][0]["x"].shape[0] == 300
+        assert tape_nodes(forward(x, params, config)) == tape_nodes(forward(x[:32], params, config)), geometry

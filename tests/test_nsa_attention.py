@@ -6,11 +6,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from attention_oracle import block_mean_tokens, full_attention
+from attention_oracle import block_mean_tokens, full_attention, gathered_attention, gathered_select_all
 from conftest import fd_param_check
 from tabnsa import nsa_attention as nsa
+from tabnsa.model import ModelConfig, forward, init_model_params
 from tabnsa.autodiff import Tensor
 from tabnsa.nsa_attention import NSAConfig
+from tabnsa.training import weighted_cross_entropy
 
 RNG = np.random.default_rng(2024)
 
@@ -231,10 +233,16 @@ class TestSelectBlocks:
     def test_all_blocks_when_n_equals_count(self):
         cfg = self.gather_cfg(num_selected=4)
         scores = RNG.uniform(size=(1, 2, 7, 4))
-        k = Tensor(RNG.normal(size=(1, 2, 7, 4)))
-        idx, k_slc, _, tok, valid = nsa.select_blocks(scores, k, k, cfg)
+        k, v = Tensor(RNG.normal(size=(1, 2, 7, 4))), Tensor(RNG.normal(size=(1, 2, 7, 4)))
+        idx, k_slc, v_slc, tok, valid = nsa.select_blocks(scores, k, v, cfg)
+        # every query sees all 7 tokens in order: the keys are shared, not gathered
+        assert k_slc is k and v_slc is v and tok is None and valid is None
+        npt.assert_array_equal(idx, np.broadcast_to(np.arange(4), (1, 1, 7, 4)))
+        assert idx.dtype == np.intp and idx.flags.writeable
+        # causal selection still gathers; the last block is padding beyond
+        # token 6, and those slots are masked
+        idx, _, _, _, valid = nsa.select_blocks(scores, k, v, self.gather_cfg(num_selected=4, causal=True))
         npt.assert_array_equal(idx[0, 0, 0], [0, 1, 2, 3])
-        # last block is padding beyond token 6; those slots are masked
         assert valid[0, 0, -1] == False  # noqa: E712  (token 7 does not exist)
         assert valid.shape == (1, 7, 8)
 
@@ -446,6 +454,86 @@ class TestNsaForward:
         a = nsa.nsa_forward(x, params, cfg).output.numpy()
         b = nsa.nsa_forward(x, params, cfg).output.numpy()
         assert np.array_equal(a, b)
+
+
+# (tokens, small_cfg overrides) at which a sparse branch sees every token
+SHARED_KEY_CASES = {
+    "n_below_select_block": (3, dict(select_block=4, num_selected=1)),
+    "padded_tail_block": (7, dict(num_selected=4)),
+    "num_selected_clamped": (7, dict(num_selected=9)),
+    "covering_window": (7, dict(window=8)),
+}
+
+
+class TestSharedKeyBranches:
+    """A selection branch that selects every block, and a non-causal window
+    covering every token, run as one product over the shared keys; the
+    gathered path of `attention_oracle` is their reference."""
+
+    def shared_and_gathered(self, monkeypatch, run):
+        """run() -> arrays, once as the package runs it (recording the ndim
+        of the keys each `_per_query_attention` call sees) and once with
+        the gathered oracles patched in."""
+        key_ndims, per_query = [], nsa._per_query_attention
+
+        def recording(q, keys, values, valid):
+            key_ndims.append(keys.ndim)
+            return per_query(q, keys, values, valid)
+
+        monkeypatch.setattr(nsa, "_per_query_attention", recording)
+        shared = run()
+        monkeypatch.setattr(nsa, "select_blocks", gathered_select_all)
+        monkeypatch.setattr(nsa, "_per_query_attention", gathered_attention)
+        gathered = run()
+        assert len(shared) == len(gathered)
+        for a, b in zip(shared, gathered):
+            npt.assert_allclose(a, b, rtol=0, atol=1e-12)
+        return key_ndims
+
+    @pytest.mark.parametrize("n,over", SHARED_KEY_CASES.values(), ids=SHARED_KEY_CASES)
+    def test_branches_and_gradients_match_the_gathered_path(self, n, over, monkeypatch):
+        cfg = small_cfg(**over)
+        rng = np.random.default_rng(17)
+        params = nsa.init_nsa_params(cfg, rng)
+        x = Tensor(rng.normal(size=(2, n, 8)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(2, n, 8)))
+        leaves = dict(params, x=x)
+        outputs = []
+
+        def run():
+            for t in leaves.values():
+                t.grad = None
+            out = nsa.nsa_forward(x, params, cfg)
+            (out.output * weight).sum().backward()
+            outputs.append(out)
+            return [b.numpy() for b in out.branch_outputs] + [t.grad for t in leaves.values()]
+
+        key_ndims = self.shared_and_gathered(monkeypatch, run)
+        all_selected = cfg.effective_selected(n) == cfg.n_select_blocks(n)
+        assert key_ndims == [4 if all_selected else 5, 4 if cfg.window >= n else 5]
+        out = outputs[0]
+        if all_selected:
+            n_slc = cfg.n_select_blocks(n)
+            npt.assert_array_equal(out.selected, np.broadcast_to(np.arange(n_slc), (2, 1, n, n_slc)))
+            assert out.selected.dtype == np.intp and out.selected.flags.writeable
+            assert out.attn_valid["slc"].all()
+
+    def test_two_block_model_matches_the_gathered_path(self, monkeypatch):
+        nsa_cfg = NSAConfig(dim=16, heads=2, head_dim=8, window=3, compress_block=8, compress_stride=4,
+                            select_block=8, num_selected=2)
+        cfg = ModelConfig(nsa=nsa_cfg, num_tokens=15, num_blocks=2)
+        params = init_model_params(cfg, 3)
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(5, 15)), rng.integers(0, 2, size=5)
+
+        def run():
+            for p in params.values():
+                p.grad = None
+            logits = forward(x, params, cfg)
+            weighted_cross_entropy(logits, y).backward()
+            return [logits.numpy()] + [p.grad for p in params.values()]
+
+        assert self.shared_and_gathered(monkeypatch, run) == [4, 5, 4, 5]
 
 
 class TestGradients:
