@@ -296,10 +296,7 @@ def nsa_forward(x: Tensor, params: dict, cfg: NSAConfig) -> AttentionOutput:
     # sliding-window branch
     win_idx, win_valid = window_indices(n, cfg.window, cfg.causal)
     win_mask = None if win_valid.all() else win_valid[None, None, :, :]
-    if cfg.window >= n and not cfg.causal:  # every query sees all N tokens in order
-        win_out, win_att = _per_query_attention(q, k, v, win_mask)
-    else:
-        win_out, win_att = _per_query_attention(q, ad.gather_blocks(k, win_idx), ad.gather_blocks(v, win_idx), win_mask)
+    win_out, win_att = _per_query_attention(q, ad.gather_blocks(k, win_idx), ad.gather_blocks(v, win_idx), win_mask)
 
     branches = (ad.merge_heads(cmp_out), ad.merge_heads(slc_out), ad.merge_heads(win_out))
     output, gates = gated_combine(branches, params, x)

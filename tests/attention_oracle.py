@@ -1,20 +1,14 @@
 """Dense softmax attention over all keys: the reference the sparse branches
 are checked against. Built on the compression-weights node, so only tests
 carry it. Also the block-mean compressor, a parameter-free stand-in for the
-compression MLP, and the gathered form of a sparse branch that sees every
-token, against which its shared-key product is checked."""
+compression MLP, and the gathered form of a selection branch that selects
+every block, against which its shared-key product is checked."""
 
 import numpy as np
 
 from tabnsa import autodiff as ad
 from tabnsa.autodiff import Tensor
-from tabnsa.nsa_attention import (
-    NSAConfig,
-    compression_indices,
-    compression_scores,
-    select_blocks,
-    window_indices,
-)
+from tabnsa.nsa_attention import NSAConfig, compression_indices, compression_scores, select_blocks
 
 
 def block_mean_tokens(kv: Tensor, cfg: NSAConfig) -> Tensor:
@@ -50,13 +44,3 @@ def gathered_select_all(p_slc: np.ndarray, k: Tensor, v: Tensor, cfg: NSAConfig,
     valid = np.broadcast_to(slots < n, tok.shape)
     blocks = np.broadcast_to(np.arange(n_slc), (b, 1, n_q, n_slc))
     return blocks, ad.gather_selected(k, tok), ad.gather_selected(v, tok), tok, valid
-
-
-def gathered_attention(q: Tensor, keys: Tensor, values: Tensor, valid):
-    """`_per_query_attention` with keys shared by every query (B, H, N, Dh)
-    first gathered per query through a covering window's plan, then
-    attended one query at a time with `attend`."""
-    if keys.ndim == 4:
-        idx, _ = window_indices(keys.shape[2], keys.shape[2], False)
-        keys, values = ad.gather_blocks(keys, idx), ad.gather_blocks(values, idx)
-    return ad.attend(q, keys, values, valid)

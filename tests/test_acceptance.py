@@ -115,10 +115,10 @@ class TestGradientSuite:
         dict(fusion="r", num_blocks=1, causal=False, regression=False, feature_ids=False),
         dict(fusion="o", num_blocks=1, causal=True, regression=False, feature_ids=True),
         dict(fusion="m", num_blocks=2, causal=False, regression=False, feature_ids=True),
-        # every query selects all 3 blocks (the last one padded) and the
-        # window covers all 5 tokens: both sparse branches are shared-key products
+        # every query selects all 3 blocks (the last one padded), so the
+        # selection branch is a shared-key product
         dict(fusion="o", num_blocks=2, causal=False, regression=False, feature_ids=True, tokens=5,
-             nsa=NSAConfig(dim=6, heads=2, head_dim=3, window=5, compress_block=4, compress_stride=2,
+             nsa=NSAConfig(dim=6, heads=2, head_dim=3, window=3, compress_block=4, compress_stride=2,
                            select_block=2, num_selected=3)),
     ]
 

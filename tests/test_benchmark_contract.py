@@ -36,13 +36,12 @@ def default_config(**nsa_over) -> ModelConfig:
     return ModelConfig(nsa=NSAConfig(**nsa), num_tokens=15)
 
 
-# the probes replay the stages by name on every branch path: the default
-# gathers both sparse branches; at the others one of them is a shared-key
-# product over all 15 tokens
+# the probes replay the stages by name on both selection paths: the default
+# gathers the selected blocks; all_selected selects both blocks of 8 tokens,
+# so its selection branch is a shared-key product over all 15 tokens
 PROBED_CONFIGS = {
     "default": {},
     "all_selected": dict(compress_block=8, select_block=8),
-    "covering_window": dict(window=15),
 }
 
 

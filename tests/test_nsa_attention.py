@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from attention_oracle import block_mean_tokens, full_attention, gathered_attention, gathered_select_all
+from attention_oracle import block_mean_tokens, full_attention, gathered_select_all
 from conftest import fd_param_check
 from tabnsa import nsa_attention as nsa
 from tabnsa.model import ModelConfig, forward, init_model_params
@@ -456,24 +456,23 @@ class TestNsaForward:
         assert np.array_equal(a, b)
 
 
-# (tokens, small_cfg overrides) at which a sparse branch sees every token
+# (tokens, small_cfg overrides) at which every query selects every block
 SHARED_KEY_CASES = {
     "n_below_select_block": (3, dict(select_block=4, num_selected=1)),
     "padded_tail_block": (7, dict(num_selected=4)),
     "num_selected_clamped": (7, dict(num_selected=9)),
-    "covering_window": (7, dict(window=8)),
 }
 
 
 class TestSharedKeyBranches:
-    """A selection branch that selects every block, and a non-causal window
-    covering every token, run as one product over the shared keys; the
-    gathered path of `attention_oracle` is their reference."""
+    """A selection branch that selects every block runs as one product over
+    the shared keys; the gathered path of `attention_oracle` is its
+    reference."""
 
     def shared_and_gathered(self, monkeypatch, run):
         """run() -> arrays, once as the package runs it (recording the ndim
         of the keys each `_per_query_attention` call sees) and once with
-        the gathered oracles patched in."""
+        the gathered selection patched in."""
         key_ndims, per_query = [], nsa._per_query_attention
 
         def recording(q, keys, values, valid):
@@ -483,7 +482,7 @@ class TestSharedKeyBranches:
         monkeypatch.setattr(nsa, "_per_query_attention", recording)
         shared = run()
         monkeypatch.setattr(nsa, "select_blocks", gathered_select_all)
-        monkeypatch.setattr(nsa, "_per_query_attention", gathered_attention)
+        monkeypatch.setattr(nsa, "_per_query_attention", per_query)
         gathered = run()
         assert len(shared) == len(gathered)
         for a, b in zip(shared, gathered):
@@ -508,15 +507,11 @@ class TestSharedKeyBranches:
             outputs.append(out)
             return [b.numpy() for b in out.branch_outputs] + [t.grad for t in leaves.values()]
 
-        key_ndims = self.shared_and_gathered(monkeypatch, run)
-        all_selected = cfg.effective_selected(n) == cfg.n_select_blocks(n)
-        assert key_ndims == [4 if all_selected else 5, 4 if cfg.window >= n else 5]
-        out = outputs[0]
-        if all_selected:
-            n_slc = cfg.n_select_blocks(n)
-            npt.assert_array_equal(out.selected, np.broadcast_to(np.arange(n_slc), (2, 1, n, n_slc)))
-            assert out.selected.dtype == np.intp and out.selected.flags.writeable
-            assert out.attn_valid["slc"].all()
+        assert self.shared_and_gathered(monkeypatch, run) == [4, 5]
+        out, n_slc = outputs[0], cfg.n_select_blocks(n)
+        npt.assert_array_equal(out.selected, np.broadcast_to(np.arange(n_slc), (2, 1, n, n_slc)))
+        assert out.selected.dtype == np.intp and out.selected.flags.writeable
+        assert out.attn_valid["slc"].all()
 
     def test_two_block_model_matches_the_gathered_path(self, monkeypatch):
         nsa_cfg = NSAConfig(dim=16, heads=2, head_dim=8, window=3, compress_block=8, compress_stride=4,
