@@ -83,7 +83,6 @@ def default_config() -> dict:
                 "compress_stride": 2,
                 "select_block": 2,
                 "num_selected": 2,
-                "causal": False,
             },
             "num_tokens": None,
             "num_classes": None,
@@ -93,7 +92,8 @@ def default_config() -> dict:
             "fusion": "o",
             "feature_id_embedding": True,
         },
-        "train": dataclasses.asdict(TrainConfig()),
+        # each command sets the training seed itself (--seeds, trial seeds)
+        "train": {k: v for k, v in dataclasses.asdict(TrainConfig()).items() if k != "seed"},
         "search": {
             "budget": 50,
             "seed": 0,
@@ -135,22 +135,26 @@ def load_config(path: str | None) -> dict:
     return _merge(cfg, user, "")
 
 
+# flags that override one `section.key` config field, named by `dest`;
+# each subcommand registers only the ones it reads
+OVERRIDE_FLAGS = {
+    "--csv": {"dest": "data.csv", "help": "dataset CSV"},
+    "--target": {"dest": "data.target", "help": "target column name"},
+    "--optimizer": {"dest": "train.optimizer", "choices": OPTIMIZERS},
+    "--fusion": {"dest": "model.fusion", "choices": FUSION_VARIANTS},
+    "--no-feature-ids": {"dest": "model.feature_id_embedding", "action": "store_const", "const": False,
+                         "help": "disable the per-feature identity embedding"},
+    "--budget": {"dest": "search.budget", "type": int, "help": "trial count"},
+}
+
+
 def apply_flag_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     cfg = json.loads(json.dumps(cfg))  # deep copy
-    if getattr(args, "csv", None):
-        cfg["data"]["csv"] = args.csv
-    if getattr(args, "target", None):
-        cfg["data"]["target"] = args.target
-    if getattr(args, "optimizer", None):
-        cfg["train"]["optimizer"] = args.optimizer
-    if getattr(args, "fusion", None):
-        cfg["model"]["fusion"] = args.fusion
-    if getattr(args, "causal", False):
-        cfg["model"]["nsa"]["causal"] = True
-    if getattr(args, "no_feature_ids", False):
-        cfg["model"]["feature_id_embedding"] = False
-    if getattr(args, "budget", None) is not None:
-        cfg["search"]["budget"] = args.budget
+    for spec in OVERRIDE_FLAGS.values():
+        value = getattr(args, spec["dest"], None)
+        if value is not None:
+            section, key = spec["dest"].split(".")
+            cfg[section][key] = value
     return cfg
 
 
@@ -394,13 +398,13 @@ def cmd_tune(args: argparse.Namespace) -> int:
     report, params = refit_best(best, split, seed=seed)
     model_cfg = ModelConfig.from_dict(report["config"]["model"])
     save_checkpoint(os.path.join(args.out, "checkpoint_best.bin"), params, model_cfg)
-    with open(os.path.join(args.out, "preprocess.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.out, "preprocess_best.json"), "w", encoding="utf-8") as fh:
         fh.write(state.to_json() + "\n")
+    # keep only schema keys, so best_config.json is valid `train --config` input
+    schema = default_config()
     best_cfg = json.loads(json.dumps(cfg))
-    nsa_dict = dict(best.model["nsa"])
-    nsa_dict.pop("dim", None)
-    best_cfg["model"]["nsa"] = nsa_dict
-    best_cfg["train"] = report["config"]["train"]
+    best_cfg["model"]["nsa"] = {k: v for k, v in best.model["nsa"].items() if k in schema["model"]["nsa"]}
+    best_cfg["train"] = {k: v for k, v in report["config"]["train"].items() if k in schema["train"]}
     _write_json(os.path.join(args.out, "best_config.json"), best_cfg)
     _write_json(os.path.join(args.out, "refit_report.json"), report)
     extra = {"budget": budget, "trial_wall_seconds": [rec.wall_seconds for rec in records]}
@@ -583,15 +587,15 @@ def cmd_flops(args: argparse.Namespace) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, *, out_required: bool) -> None:
+MODEL_FLAGS = ("--fusion", "--no-feature-ids")
+TRAINING_FLAGS = ("--optimizer",) + MODEL_FLAGS
+
+
+def _add_common(sub: argparse.ArgumentParser, *overrides: str, out_required: bool) -> None:
     sub.add_argument("--config", default=None, help="JSON config path; defaults apply when omitted")
-    sub.add_argument("--csv", default=None, help="dataset CSV (overrides config data.csv)")
-    sub.add_argument("--target", default=None, help="target column name (overrides config data.target)")
     sub.add_argument("--out", required=out_required, default=None, help="output directory")
-    sub.add_argument("--optimizer", choices=OPTIMIZERS, default=None)
-    sub.add_argument("--fusion", choices=FUSION_VARIANTS, default=None)
-    sub.add_argument("--causal", action="store_true", help="causal attention masks")
-    sub.add_argument("--no-feature-ids", action="store_true", help="disable the per-feature identity embedding")
+    for flag in ("--csv", "--target") + overrides:
+        sub.add_argument(flag, default=None, **OVERRIDE_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -600,12 +604,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_train = subs.add_parser("train", help="fit on a CSV and report test metrics")
-    _add_common(p_train, out_required=True)
+    _add_common(p_train, *TRAINING_FLAGS, out_required=True)
     p_train.add_argument("--seeds", default="0", help="'0,1,2' or '0..9'")
 
     p_tune = subs.add_parser("tune", help="random search then refit the best config")
-    _add_common(p_tune, out_required=True)
-    p_tune.add_argument("--budget", type=int, default=None, help="trial count (overrides config search.budget)")
+    _add_common(p_tune, *TRAINING_FLAGS, "--budget", out_required=True)
 
     p_eval = subs.add_parser("eval", help="score a saved checkpoint on a CSV")
     _add_common(p_eval, out_required=False)
@@ -613,17 +616,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--preprocess", default=None, help="preprocess state JSON (default: sibling of checkpoint)")
 
     p_transfer = subs.add_parser("transfer", help="feature-overlap transfer protocol, both directions")
-    _add_common(p_transfer, out_required=True)
+    _add_common(p_transfer, *TRAINING_FLAGS, "--budget", out_required=True)
     p_transfer.add_argument("--overlap", type=float, required=True, help="shared-feature fraction in [0, 1]")
-    p_transfer.add_argument("--budget", type=int, default=None)
 
     p_ablate = subs.add_parser("ablate", help="sweep one axis against a fixed baseline")
-    _add_common(p_ablate, out_required=True)
+    _add_common(p_ablate, *TRAINING_FLAGS, out_required=True)
     p_ablate.add_argument("--what", choices=ABLATE_AXES, required=True)
     p_ablate.add_argument("--seeds", default="0,1,2")
 
     p_flops = subs.add_parser("flops", help="per-component FLOPs and parameter counts")
-    _add_common(p_flops, out_required=False)
+    _add_common(p_flops, *MODEL_FLAGS, out_required=False)
     p_flops.add_argument("--compare-dense", action="store_true")
     return parser
 

@@ -407,10 +407,6 @@ def split_indices(labels: LabelVector, seed: int) -> tuple[np.ndarray, np.ndarra
     )
 
 
-def split(features: FeatureMatrix, labels: LabelVector, seed: int) -> DatasetSplit:
-    return DatasetSplit.from_indices(features, labels, split_indices(labels, seed), seed)
-
-
 def prepare_dataset(raw: RawTable, seed: int) -> tuple[DatasetSplit, PreprocessState]:
     """Leakage-safe pipeline: split rows first, fit preprocessing on the
     training rows only, then encode every split with the fitted state."""

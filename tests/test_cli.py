@@ -1,6 +1,7 @@
 """CLI tests: config schema enforcement, exit codes, artifact layout,
 byte-stable reruns, and the per-command output contracts."""
 
+import argparse
 import csv
 import json
 import math
@@ -13,6 +14,7 @@ from tabnsa.cli import (
     ConfigError,
     build_model_config,
     build_nsa_config,
+    build_parser,
     default_config,
     load_config,
     main,
@@ -116,6 +118,12 @@ class TestConfigMachinery:
                 documented, default = documented[key], default[key]
             assert set(documented) == set(default), path
 
+    def test_config_has_41_leaves(self):
+        def leaves(node):
+            return sum(leaves(v) if isinstance(v, dict) else 1 for v in node.values())
+
+        assert leaves(default_config()) == 41
+
     def test_nsa_stride_null_becomes_common_divisor(self):
         nsa = default_config()["model"]["nsa"]
         nsa.update({"compress_block": 6, "select_block": 4, "compress_stride": None})
@@ -141,6 +149,51 @@ class TestConfigMachinery:
             parse_seeds("5..3")
         with pytest.raises(ValueError):
             parse_seeds(",")
+
+
+COMMON_FLAGS = {"--config", "--out", "--csv", "--target"}
+TRAINING_FLAGS = COMMON_FLAGS | {"--optimizer", "--fusion", "--no-feature-ids"}
+SUBCOMMAND_FLAGS = {
+    "train": TRAINING_FLAGS | {"--seeds"},
+    "tune": TRAINING_FLAGS | {"--budget"},
+    "eval": COMMON_FLAGS | {"--checkpoint", "--preprocess"},
+    "transfer": TRAINING_FLAGS | {"--overlap", "--budget"},
+    "ablate": TRAINING_FLAGS | {"--what", "--seeds"},
+    "flops": COMMON_FLAGS | {"--fusion", "--no-feature-ids", "--compare-dense"},
+}
+
+
+class TestFlagSurface:
+    """Each subcommand registers only the flags whose values it reads."""
+
+    def registered(self):
+        subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        return {
+            name: [opt for action in sub._actions for opt in action.option_strings if opt != "--help" and opt.startswith("--")]
+            for name, sub in subs.choices.items()
+        }
+
+    def test_each_subcommand_registers_exactly_its_flags(self):
+        registered = self.registered()
+        assert {name: set(flags) for name, flags in registered.items()} == SUBCOMMAND_FLAGS
+        assert sum(len(flags) for flags in registered.values()) == 47
+        assert len(set().union(*registered.values())) == 14
+
+    def test_eval_rejects_a_model_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--checkpoint", "c.bin", "--fusion", "m"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fusion m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,body", [
+        ("model.nsa.causal", {"model": {"nsa": {"causal": True}}}),
+        ("train.seed", {"train": {"seed": 7}}),
+    ])
+    def test_removed_field_exits_2_naming_it(self, field, body, tmp_path, capsys):
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps(body))
+        assert main(["flops", "--config", str(p)]) == 2
+        assert f"{field}: unknown config field" in capsys.readouterr().err
 
 
 class TestExitCodes:
@@ -260,16 +313,15 @@ class TestTrainCommand:
         out = str(tmp_path / "noids")
         assert main([
             "train", "--config", fast_config, "--out", out, "--seeds", "0",
-            "--fusion", "c", "--no-feature-ids", "--causal",
+            "--fusion", "c", "--no-feature-ids", "--optimizer", "lbfgs",
         ]) == 0
         saved = json.load(open(os.path.join(out, "config.json")))
         assert saved["model"]["fusion"] == "c"
         assert saved["model"]["feature_id_embedding"] is False
-        assert saved["model"]["nsa"]["causal"] is True
+        assert saved["train"]["optimizer"] == "lbfgs"
         _, cfg = load_checkpoint(os.path.join(out, "checkpoint_s0.bin"))
         assert cfg.fusion == "c"
         assert cfg.feature_id_embedding is False
-        assert cfg.nsa.causal is True
 
 
 class TestRerunIdentity:
@@ -347,6 +399,14 @@ class TestTuneCommand:
         assert main(["tune", "--config", fast_config, "--out", out, "--budget", "2"]) == 0
         best_cfg = os.path.join(out, "best_config.json")
         assert main(["train", "--config", best_cfg, "--out", str(tmp_path / "refit"), "--seeds", "0"]) == 0
+
+    def test_tune_then_train_then_eval_both_checkpoints(self, fast_config, toy_csv, tmp_path):
+        tuned, refit = str(tmp_path / "tuned"), str(tmp_path / "refit")
+        assert main(["tune", "--config", fast_config, "--out", tuned, "--budget", "1"]) == 0
+        best_cfg = os.path.join(tuned, "best_config.json")
+        assert main(["train", "--config", best_cfg, "--out", refit, "--seeds", "0"]) == 0
+        for ckpt in (os.path.join(tuned, "checkpoint_best.bin"), os.path.join(refit, "checkpoint_s0.bin")):
+            assert main(["eval", "--checkpoint", ckpt, "--csv", toy_csv]) == 0
 
     def test_zero_budget_is_config_error(self, fast_config, tmp_path, capsys):
         code = main(["tune", "--config", fast_config, "--out", str(tmp_path / "t"), "--budget", "0"])

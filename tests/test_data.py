@@ -236,6 +236,11 @@ class TestNoTestLeakage:
         assert state_clean.to_json() == state_poisoned.to_json()
 
 
+def split(features, labels, seed):
+    """The row partition `prepare_dataset` builds, on already-encoded arrays."""
+    return D.DatasetSplit.from_indices(features, labels, D.split_indices(labels, seed), seed)
+
+
 class TestSplit:
     def make(self, b, c=2, seed=0):
         rng = np.random.default_rng(seed)
@@ -245,15 +250,15 @@ class TestSplit:
 
     def test_exact_sizes_when_divisible(self):
         feats, labels = self.make(1000)
-        ds = D.split(feats, labels, seed=7)
+        ds = split(feats, labels, seed=7)
         assert ds.train[0].values.shape[0] == 700
         assert ds.val[0].values.shape[0] == 100
         assert ds._test[0].values.shape[0] == 200
 
     def test_partition_and_determinism(self):
         feats, labels = self.make(103, c=3)
-        ds1 = D.split(feats, labels, seed=7)
-        ds2 = D.split(feats, labels, seed=7)
+        ds1 = split(feats, labels, seed=7)
+        ds2 = split(feats, labels, seed=7)
         tr, va, te = ds1.indices
         npt.assert_array_equal(np.sort(np.concatenate([tr, va, te])), np.arange(103))
         for a, b in zip(ds1.indices, ds2.indices):
@@ -261,13 +266,13 @@ class TestSplit:
 
     def test_different_seed_different_split(self):
         feats, labels = self.make(100)
-        ds1 = D.split(feats, labels, seed=1)
-        ds2 = D.split(feats, labels, seed=2)
+        ds1 = split(feats, labels, seed=1)
+        ds2 = split(feats, labels, seed=2)
         assert not np.array_equal(ds1.indices[0], ds2.indices[0])
 
     def test_stratification_balanced(self):
         feats, labels = self.make(100)
-        ds = D.split(feats, labels, seed=7)
+        ds = split(feats, labels, seed=7)
         for part in (ds.train, ds.val, ds._test):
             frac = part[1].labels.mean()
             assert abs(frac - 0.5) < 0.05
@@ -278,12 +283,12 @@ class TestSplit:
         lab[:2] = 1  # class with 2 members
         labels = D.LabelVector(lab, "classification", num_classes=2)
         with pytest.warns(UserWarning, match="fewer than 3"):
-            D.split(feats, labels, seed=0)
+            split(feats, labels, seed=0)
 
     def test_too_few_rows_rejected(self):
         feats, labels = self.make(9)
         with pytest.raises(ValueError):
-            D.split(feats, labels, seed=0)
+            split(feats, labels, seed=0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(60, 500), st.integers(2, 4))
@@ -295,7 +300,7 @@ class TestSplit:
         labels = D.LabelVector(lab, "classification", num_classes=c)
         feats = D.FeatureMatrix(rng.normal(size=(b, 3)), ["f0", "f1", "f2"])
         counts = np.bincount(lab, minlength=c)
-        ds = D.split(feats, labels, seed=seed)
+        ds = split(feats, labels, seed=seed)
         tr, va, te = ds.indices
         assert abs(len(tr) - 0.7 * b) <= 1
         assert abs(len(va) - 0.1 * b) <= 1
