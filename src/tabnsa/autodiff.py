@@ -9,9 +9,12 @@ through the same graph counts each path once. The saved activations live as
 long as the graph does: drop the last reference to the output to free them.
 Only the primitives needed by this package are provided.
 
-Inside `workspace(...)`, ops record no tape and write their larger results
-into arrays that the calling thread keeps from one call to the next, so a
-repeated tape-free forward of one shape touches no fresh pages.
+Inside `workspace(key)`, ops record no tape and write their larger results
+into arrays that the calling thread keeps for that key from one call to
+the next, so a repeated tape-free forward touches no fresh pages, and
+neither does a smaller one, such as a partial tile. Each op computes its
+result with one numpy expression whose `out=` comes from an `_out` helper;
+outside a workspace that is None, and numpy allocates as usual.
 """
 
 from __future__ import annotations
@@ -29,37 +32,23 @@ from scipy.special import expit, ndtr
 # logit of a masked key: its exp underflows to exactly 0
 NEG_INF = -1e30
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
-# row counts of one key whose arrays a workspace keeps: a full tile and the
-# last partial one
-_WORKSPACE_ROW_COUNTS = 2
 
 
 class Workspace:
-    """Flat buffers that tape-free ops write their results into.
+    """Flat buffers that tape-free ops write their results into, for one key.
 
     `empty` hands out the smallest pooled buffer that is large enough and
     that nothing outside the pool refers to any more (no Tensor, view or
     local), as a view of the requested shape, or else a new buffer. So a
     buffer in use is never overwritten, and the pool grows to about one
-    call's live set, not to every array the call allocates. Pools are kept
-    per key and row count; see `use`.
+    call's live set, not to every array the call allocates. A smaller call
+    under the same key, such as a partial tile, fits in those buffers.
     """
 
-    def __init__(self):
-        self.key = None
-        self.pools: dict[int, tuple[list[int], list[np.ndarray]]] = {}
-        self.sizes: list[int] = []  # of the current pool's buffers, ascending
+    def __init__(self, key):
+        self.key = key
+        self.sizes: list[int] = []  # of the buffers, ascending
         self.buffers: list[np.ndarray] = []
-
-    def use(self, key, rows: int) -> None:
-        """Draw from the pool of `rows`-row calls under `key`. A new key drops
-        every pool; under one key only the pools of the last two row counts
-        are kept."""
-        if key != self.key:
-            self.key, self.pools = key, {}
-        self.pools[rows] = self.sizes, self.buffers = self.pools.pop(rows, ([], []))
-        if len(self.pools) > _WORKSPACE_ROW_COUNTS:
-            del self.pools[next(iter(self.pools))]
 
     def empty(self, shape: tuple) -> np.ndarray:
         size, buffers = math.prod(shape), self.buffers
@@ -71,34 +60,6 @@ class Workspace:
         self.sizes.insert(first, size)
         buffers.insert(first, np.empty(size))
         return buffers[first].reshape(shape)
-
-    def like(self, a: np.ndarray) -> np.ndarray | None:
-        """An array for an elementwise result of `a`, in the memory order
-        numpy would give it (C, or C with the last two axes swapped, as for
-        a swapaxes view); None for any other order, which numpy allocates."""
-        if a.flags.c_contiguous:
-            return self.empty(a.shape)
-        if a.ndim >= 2 and a.swapaxes(-1, -2).flags.c_contiguous:
-            return self.empty(a.swapaxes(-1, -2).shape).swapaxes(-1, -2)
-        return None
-
-    def broadcast(self, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-        """An array for an elementwise result of x and y when numpy would
-        give it C order: both operands are C-contiguous, or one of them is
-        and has the result's shape. None otherwise."""
-        shape = x.shape if x.shape == y.shape else np.broadcast(x, y).shape
-        if x.flags.c_contiguous and (y.flags.c_contiguous or x.shape == shape):
-            return self.empty(shape)
-        if y.flags.c_contiguous and y.shape == shape:
-            return self.empty(shape)
-        return None
-
-    def matmul(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """An array for x @ y, which numpy gives C order."""
-        batch = x.shape[:-2]
-        if y.ndim > 2 and y.shape[:-2] != batch:
-            batch = np.broadcast_shapes(batch, y.shape[:-2])
-        return self.empty(batch + (x.shape[-2], y.shape[-1]))
 
 
 class _ThreadState(threading.local):
@@ -131,17 +92,16 @@ def no_grad():
 
 
 @contextlib.contextmanager
-def workspace(key, rows: int):
+def workspace(key):
     """Record no tape inside the with-block, and write op results into this
-    thread's workspace, drawing from its pool for `rows`-row calls under
-    `key` (see `Workspace.use`). The arrays are reused by later blocks on
-    this thread, so a result that must outlive the block is copied out."""
-    ws = _STATE.workspace
-    if ws is None:
-        ws = _STATE.workspace = Workspace()
-    ws.use(key, rows)
+    thread's workspace for `key`; a new key replaces the workspace, so the
+    thread holds the buffers of one key only. The arrays are reused by
+    later blocks on this thread, so a result that must outlive the block is
+    copied out."""
+    if _STATE.workspace is None or _STATE.workspace.key != key:
+        _STATE.workspace = Workspace(key)
     prev = _STATE.active
-    _STATE.active = ws
+    _STATE.active = _STATE.workspace
     try:
         with no_grad():
             yield
@@ -149,18 +109,66 @@ def workspace(key, rows: int):
         _STATE.active = prev
 
 
-def _copy(a: np.ndarray, ws: Workspace | None) -> np.ndarray:
-    """A C-contiguous copy of `a`, into an array of `ws` if there is one."""
-    if ws is None:
+# The `out=` helpers: an array of the active workspace for an op's result,
+# or None outside one, so that numpy allocates the result as it would
+# without `out=`. Only these and `workspace` read `_STATE.active`.
+
+
+def _out(shape: tuple) -> np.ndarray | None:
+    return None if _STATE.active is None else _STATE.active.empty(shape)
+
+
+def _out_like(a: np.ndarray) -> np.ndarray | None:
+    """For an elementwise result of `a`, in the memory order numpy would
+    give it (C, or C with the last two axes swapped, as for a swapaxes
+    view); None for any other order, which numpy allocates."""
+    if _STATE.active is None:
+        return None
+    if a.flags.c_contiguous:
+        return _out(a.shape)
+    if a.ndim >= 2 and a.swapaxes(-1, -2).flags.c_contiguous:
+        return _out(a.swapaxes(-1, -2).shape).swapaxes(-1, -2)
+    return None
+
+
+def _out_broadcast(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """For an elementwise result of x and y when numpy would give it C
+    order: both operands are C-contiguous, or one of them is and has the
+    result's shape. None otherwise."""
+    if _STATE.active is None:
+        return None
+    shape = x.shape if x.shape == y.shape else np.broadcast(x, y).shape
+    if x.flags.c_contiguous and (y.flags.c_contiguous or x.shape == shape):
+        return _out(shape)
+    if y.flags.c_contiguous and y.shape == shape:
+        return _out(shape)
+    return None
+
+
+def _out_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """For x @ y, which numpy gives C order."""
+    if _STATE.active is None:
+        return None
+    batch = x.shape[:-2]
+    if y.ndim > 2 and y.shape[:-2] != batch:
+        batch = np.broadcast_shapes(batch, y.shape[:-2])
+    return _out(batch + (x.shape[-2], y.shape[-1]))
+
+
+def _copy(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of `a`, into the active workspace if there is one.
+    The one fork on `_out`: numpy's copy takes no `out=`, and a ufunc copy
+    of a transposed array is about twice as slow."""
+    out = _out(a.shape)
+    if out is None:
         return a.copy()
-    out = ws.empty(a.shape)
     out[...] = a
     return out
 
 
-def _contiguous(a: np.ndarray, ws: Workspace | None) -> np.ndarray:
-    """np.ascontiguousarray(a), copying into an array of `ws` if needed."""
-    return a if a.flags.c_contiguous else _copy(a, ws)
+def _contiguous(a: np.ndarray) -> np.ndarray:
+    """np.ascontiguousarray(a), copying into the active workspace if needed."""
+    return a if a.flags.c_contiguous else _copy(a)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -342,15 +350,13 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Te
 
 def add(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
-    ws = _STATE.active
-    data = a.data + b.data if ws is None else np.add(a.data, b.data, out=ws.broadcast(a.data, b.data))
+    data = np.add(a.data, b.data, out=_out_broadcast(a.data, b.data))
     return _node(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
-    ws = _STATE.active
-    data = a.data * b.data if ws is None else np.multiply(a.data, b.data, out=ws.broadcast(a.data, b.data))
+    data = np.multiply(a.data, b.data, out=_out_broadcast(a.data, b.data))
     return _node(
         data,
         (a, b),
@@ -362,8 +368,7 @@ def matmul(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
-    ws = _STATE.active
-    data = a.data @ b.data if ws is None else np.matmul(a.data, b.data, out=ws.matmul(a.data, b.data))
+    data = np.matmul(a.data, b.data, out=_out_matmul(a.data, b.data))
 
     def vjp(g):
         ga = _matmul_to(g, b.data.swapaxes(-1, -2), a.data.shape)
@@ -394,8 +399,7 @@ def linear(x, w, b) -> Tensor:
     """x @ w + b as one node. w is (K, P), or (H, K, P) per-head weights
     under a (B, H, M, K) input; b broadcasts over the product."""
     x, w, b = _ensure(x), _ensure(w), _ensure(b)
-    ws = _STATE.active
-    data = x.data @ w.data if ws is None else np.matmul(x.data, w.data, out=ws.matmul(x.data, w.data))
+    data = np.matmul(x.data, w.data, out=_out_matmul(x.data, w.data))
     data += b.data
 
     def vjp(g):
@@ -409,14 +413,14 @@ def linear(x, w, b) -> Tensor:
 def layer_norm(x, scale, shift, eps: float) -> Tensor:
     """(x - mean) / sqrt(var + eps) * scale + shift over the last axis, as one node."""
     x, scale, shift = _ensure(x), _ensure(scale), _ensure(shift)
-    xd, ws = x.data, _STATE.active
+    xd = x.data
     mean = xd.mean(axis=-1, keepdims=True)
-    centered = xd - mean if ws is None else np.subtract(xd, mean, out=ws.like(xd))
-    square = centered * centered if ws is None else np.multiply(centered, centered, out=ws.like(xd))
+    centered = np.subtract(xd, mean, out=_out_like(xd))
+    square = np.multiply(centered, centered, out=_out_like(xd))
     std = np.sqrt(square.mean(axis=-1, keepdims=True) + eps)
     del square  # so that a workspace can reuse it for xhat
-    xhat = centered / std if ws is None else np.divide(centered, std, out=ws.like(xd))
-    data = xhat * scale.data if ws is None else np.multiply(xhat, scale.data, out=ws.like(xd))
+    xhat = np.divide(centered, std, out=_out_like(xd))
+    data = np.multiply(xhat, scale.data, out=_out_like(xd))
     data += shift.data
 
     def vjp(g):
@@ -431,17 +435,17 @@ def layer_norm(x, scale, shift, eps: float) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
-    a, ws = _ensure(a), _STATE.active
-    data = expit(a.data) if ws is None else expit(a.data, out=ws.like(a.data))
+    a = _ensure(a)
+    data = expit(a.data, out=_out_like(a.data))
     return _node(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
 def gelu(a) -> Tensor:
     """Exact x * Phi(x), Phi the standard normal CDF; not the tanh approximation."""
-    a, ws = _ensure(a), _STATE.active
+    a = _ensure(a)
     x = a.data
-    cdf = ndtr(x) if ws is None else ndtr(x, out=ws.like(x))
-    data = x * cdf if ws is None else np.multiply(x, cdf, out=ws.like(x))
+    cdf = ndtr(x, out=_out_like(x))
+    data = np.multiply(x, cdf, out=_out_like(x))
 
     def vjp(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
@@ -451,9 +455,9 @@ def gelu(a) -> Tensor:
 
 
 def silu(a) -> Tensor:
-    a, ws = _ensure(a), _STATE.active
-    s = expit(a.data) if ws is None else expit(a.data, out=ws.like(a.data))
-    data = a.data * s if ws is None else np.multiply(a.data, s, out=ws.like(a.data))
+    a = _ensure(a)
+    s = expit(a.data, out=_out_like(a.data))
+    data = np.multiply(a.data, s, out=_out_like(a.data))
 
     def vjp(g):
         return (g * s * (1.0 + a.data * (1.0 - s)),)
@@ -515,7 +519,7 @@ def split_heads(flat, heads: int) -> Tensor:
     """(B, N, H*Dh) -> C-contiguous (B, H, N, Dh), one transpose copy."""
     flat = _ensure(flat)
     b, n, width = flat.data.shape
-    data = _contiguous(flat.data.reshape(b, n, heads, width // heads).transpose(0, 2, 1, 3), _STATE.active)
+    data = _contiguous(flat.data.reshape(b, n, heads, width // heads).transpose(0, 2, 1, 3))
     return _node(data, (flat,), lambda g: (g.transpose(0, 2, 1, 3).reshape(b, n, width),))
 
 
@@ -523,7 +527,7 @@ def merge_heads(t) -> Tensor:
     """(B, H, N, Dh) -> C-contiguous (B, N, H*Dh), the inverse of split_heads."""
     t = _ensure(t)
     b, h, n, dh = t.data.shape
-    data = _contiguous(t.data.transpose(0, 2, 1, 3), _STATE.active).reshape(b, n, h * dh)
+    data = _contiguous(t.data.transpose(0, 2, 1, 3)).reshape(b, n, h * dh)
     return _node(data, (t,), lambda g: (g.reshape(b, n, h, dh).transpose(0, 2, 1, 3),))
 
 
@@ -566,10 +570,8 @@ def gather_blocks(t, idx: np.ndarray) -> Tensor:
     t = _ensure(t)
     idx = np.asarray(idx, dtype=np.intp)
     B, H, N, Dh = t.data.shape
-    ws = _STATE.active
     # "clip" because `take` buffers `out` in its default "raise" mode
-    out = None if ws is None else ws.empty((B, H) + idx.shape + (Dh,))
-    data = t.data.take(idx, axis=2, out=out, mode="clip")
+    data = t.data.take(idx, axis=2, out=_out((B, H) + idx.shape + (Dh,)), mode="clip")
 
     def vjp(g):
         onehot = (np.arange(N)[:, None] == idx.reshape(-1)).astype(np.float64)  # (N, M*L)
@@ -593,9 +595,7 @@ def gather_selected(t, idx: np.ndarray) -> Tensor:
     _, T, S = idx.shape
     offsets = (np.arange(B)[:, None] * H + np.arange(H)) * N  # (B, H)
     rows = np.ascontiguousarray(t.data).reshape(B * H * N, Dh)
-    ws = _STATE.active
-    out = None if ws is None else ws.empty((B, H, T, S, Dh))
-    data = rows.take(offsets[:, :, None, None] + idx[:, None], axis=0, out=out, mode="clip")
+    data = rows.take(offsets[:, :, None, None] + idx[:, None], axis=0, out=_out((B, H, T, S, Dh)), mode="clip")
 
     def vjp(g):
         onehot = (np.arange(N)[:, None] == idx.reshape(B, 1, 1, T * S)).astype(np.float64)  # (B, 1, N, T*S)
@@ -607,19 +607,19 @@ def gather_selected(t, idx: np.ndarray) -> Tensor:
 # -- softmax attention ----------------------------------------------------
 
 
-def _masked_softmax(logits: np.ndarray, valid: np.ndarray | None, ws: Workspace | None) -> np.ndarray:
+def _masked_softmax(logits: np.ndarray, valid: np.ndarray | None) -> np.ndarray:
     """Softmax over the last axis without the keys outside `valid`, computed
     in place in `logits`, which the caller must own; a row with no valid key
     is all zeros. Max and sum run over slices of the last axis, which beats
     numpy's reductions along a short axis severalfold."""
     if valid is not None:
         np.copyto(logits, NEG_INF, where=~valid)
-    top = _copy(logits[..., 0], ws)
+    top = _copy(logits[..., 0])
     for j in range(1, logits.shape[-1]):
         np.maximum(top, logits[..., j], out=top)
     logits -= top[..., None]
     e = np.exp(logits, out=logits)
-    total = _copy(e[..., 0], ws)
+    total = _copy(e[..., 0])
     for j in range(1, e.shape[-1]):
         total += e[..., j]
     e /= total[..., None]
@@ -638,10 +638,10 @@ def attention_weights(q, k, valid: np.ndarray | None = None) -> Tensor:
     """
     q, k = _ensure(q), _ensure(k)
     scale = 1.0 / np.sqrt(q.data.shape[-1])
-    kt, ws = k.data.swapaxes(-1, -2), _STATE.active
-    logits = q.data @ kt if ws is None else np.matmul(q.data, kt, out=ws.matmul(q.data, kt))
+    kt = k.data.swapaxes(-1, -2)
+    logits = np.matmul(q.data, kt, out=_out_matmul(q.data, kt))
     logits *= scale
-    p = _masked_softmax(logits, valid, ws)
+    p = _masked_softmax(logits, valid)
 
     def vjp(g):
         ds = p * (g - (g * p).sum(axis=-1, keepdims=True)) * scale
@@ -661,13 +661,12 @@ def attend(q, keys, values, valid: np.ndarray | None = None) -> tuple[Tensor, np
     """
     q, keys, values = _ensure(q), _ensure(keys), _ensure(values)
     # einsum is several times faster when its operands share one C layout
-    ws = _STATE.active
-    qd, kd, vd = (_contiguous(t.data, ws) for t in (q, keys, values))
+    qd, kd, vd = (_contiguous(t.data) for t in (q, keys, values))
     scale = 1.0 / np.sqrt(qd.shape[-1])
-    logits = np.einsum("...d,...sd->...s", qd, kd, out=None if ws is None else ws.empty(kd.shape[:-1]))
+    logits = np.einsum("...d,...sd->...s", qd, kd, out=_out(kd.shape[:-1]))
     logits *= scale
-    p = _masked_softmax(logits, valid, ws)
-    out = np.einsum("...s,...sd->...d", p, vd, out=None if ws is None else ws.empty(qd.shape))
+    p = _masked_softmax(logits, valid)
+    out = np.einsum("...s,...sd->...d", p, vd, out=_out(qd.shape))
 
     def vjp(g):
         g = np.ascontiguousarray(g)

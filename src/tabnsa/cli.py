@@ -73,7 +73,7 @@ class ConfigError(Exception):
 def default_config() -> dict:
     return {
         "version": CONFIG_VERSION,
-        "data": {"csv": None, "target": None, "schema": None, "seed": 0},
+        "data": {"csv": None, "target": None, "schema": None},
         "model": {
             "nsa": {
                 "heads": 2,
@@ -563,8 +563,9 @@ def cmd_flops(args: argparse.Namespace) -> int:
     cfg = apply_flag_overrides(load_config(args.config), args)
     split = None
     if cfg["data"].get("csv"):
-        # shape the model from the dataset exactly as train would
-        split, _ = prepare_dataset(load_table(cfg), cfg["data"]["seed"])
+        # shape the model from the dataset exactly as train would; the
+        # counts depend on the table's columns and classes, not the split
+        split, _ = prepare_dataset(load_table(cfg), 0)
     model_cfg = build_model_config(cfg, split)
     total, breakdown = count_flops(model_cfg, batch_size=1)
     payload = {

@@ -243,7 +243,7 @@ def forward(x: np.ndarray, params: dict, config: ModelConfig) -> Tensor:
 def _forward_tile(x: np.ndarray, params: dict, config: ModelConfig) -> np.ndarray:
     # the workspace also turns this thread's tape off; the logits are copied
     # out of it, since the next tile on this thread reuses its arrays
-    with ad.workspace(config, len(x)):
+    with ad.workspace(config):
         return _forward(x, params, config).data.copy()
 
 

@@ -118,11 +118,11 @@ class TestConfigMachinery:
                 documented, default = documented[key], default[key]
             assert set(documented) == set(default), path
 
-    def test_config_has_41_leaves(self):
+    def test_config_has_40_leaves(self):
         def leaves(node):
             return sum(leaves(v) if isinstance(v, dict) else 1 for v in node.values())
 
-        assert leaves(default_config()) == 41
+        assert leaves(default_config()) == 40
 
     def test_nsa_stride_null_becomes_common_divisor(self):
         nsa = default_config()["model"]["nsa"]
@@ -188,6 +188,7 @@ class TestFlagSurface:
     @pytest.mark.parametrize("field,body", [
         ("model.nsa.causal", {"model": {"nsa": {"causal": True}}}),
         ("train.seed", {"train": {"seed": 7}}),
+        ("data.seed", {"data": {"seed": 7}}),
     ])
     def test_removed_field_exits_2_naming_it(self, field, body, tmp_path, capsys):
         p = tmp_path / "old.json"

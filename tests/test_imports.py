@@ -1,9 +1,10 @@
 """Source checks by ast: every name a package module imports is used somewhere
 in that module, every parameter a package function takes is read in its
 body, the sparse-attention gathers, the head split and the loss stay off
-the slow numpy scatter and gather routines, and trainable leaves have one
-constructor. One check runs the package instead: importing it starts no
-thread and builds no workspace."""
+the slow numpy scatter and gather routines, trainable leaves have one
+constructor, and only the workspace's `out=` helpers see whether a
+workspace is active, so each op keeps one code path. One check runs the
+package instead: importing it starts no thread and builds no workspace."""
 
 import ast
 import os
@@ -21,6 +22,9 @@ SLOW_CALL_FREE = {
     "gather_blocks": "autodiff", "gather_selected": "autodiff", "split_heads": "autodiff",
     "weighted_cross_entropy": "training",
 }
+# the autodiff definitions that may touch `_STATE.active`: the block that
+# sets it and the helpers that give an op its `out=` array
+ACTIVE_READERS = {"workspace", "_out", "_out_like", "_out_broadcast", "_out_matmul"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -111,18 +115,21 @@ def test_call_finder_sees_nested_calls(tmp_path):
         assert dotted_calls(module, "f") >= SLOW_CALLS
 
 
+def definitions_where(source: str, match) -> set[str]:
+    """Top-level definitions, or `<module>` for other top-level code, that
+    hold a node (nested scopes included) for which `match` is true."""
+    return {
+        getattr(top, "name", "<module>")
+        for top in ast.parse(source).body if any(match(node) for node in ast.walk(top))
+    }
+
+
 def leaf_constructors(source: str) -> set[str]:
     """Top-level definitions that build a Tensor with requires_grad=True."""
-    tree = ast.parse(source)
-    found = set()
-    for top in tree.body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call) and any(
-                kw.arg == "requires_grad" and not (isinstance(kw.value, ast.Constant) and not kw.value.value)
-                for kw in node.keywords
-            ):
-                found.add(getattr(top, "name", "<module>"))
-    return found
+    return definitions_where(source, lambda node: isinstance(node, ast.Call) and any(
+        kw.arg == "requires_grad" and not (isinstance(kw.value, ast.Constant) and not kw.value.value)
+        for kw in node.keywords
+    ))
 
 
 def test_trainable_leaves_come_from_make_leaves_or_a_checkpoint():
@@ -137,6 +144,30 @@ def test_leaf_finder_sees_nested_and_module_level_leaves():
         "W = Tensor(np.ones(2), requires_grad=flag)\n"
     )
     assert leaf_constructors(source) == {"f", "<module>"}
+
+
+def active_readers(source: str) -> set[str]:
+    """Top-level definitions that touch the `active` attribute of a name
+    `_STATE`, bare or module-qualified."""
+    return definitions_where(source, lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "active"
+        and ast.unparse(node.value).rpartition(".")[2] == "_STATE"
+    ))
+
+
+def test_only_the_out_helpers_see_the_active_workspace():
+    found = {(path.stem, name) for path in SOURCES for name in active_readers(path.read_text(encoding="utf-8"))}
+    assert found == {("autodiff", name) for name in ACTIVE_READERS}
+
+
+def test_active_finder_sees_nested_qualified_and_module_level_reads():
+    source = (
+        "def f(a):\n    def g():\n        return _STATE.active\n    return g\n"
+        "class C:\n    def m(self):\n        return ad._STATE.active.empty(())\n"
+        "def h():\n    return _STATE.workspace, state.active\n"
+        "ws = _STATE.active\n"
+    )
+    assert active_readers(source) == {"f", "C", "<module>"}
 
 
 def test_importing_every_module_starts_no_thread():

@@ -742,12 +742,14 @@ class TestTiledInference:
 
     @pytest.mark.parametrize("geometry", [(2, 8, 4), (4, 24, 8)], ids=["default", "mid"])
     def test_a_repeated_request_allocates_only_its_result(self, geometry):
-        """Once each pool thread has run a tile of this shape, a request
-        allocates its probabilities plus at most 3 MiB: the copied logits
+        """Once each pool thread has run full tiles of this config, a request
+        of full tiles, and then one of full tiles and a partial one, each
+        allocate their probabilities plus at most 3 MiB: the copied logits
         and, per tile in flight, the selection scores and index arrays that
         stay outside the workspace (1.3 MiB at mid). With every tile
-        allocated afresh, a request took 14 MiB more at the default geometry
-        and 80 MiB more at mid."""
+        allocated afresh, a 1024-row request took 14 MiB more at the default
+        geometry and 80 MiB more at mid; with a pool per tile size, the
+        300-row request took 13.7 MiB more at mid."""
         allowance = 3 * 2**20
         cfg = benchmark_config(False, *geometry)
         params = init_model_params(cfg, 0)
@@ -755,21 +757,22 @@ class TestTiledInference:
         with usable_cores(2):
             for _ in range(3):
                 training.predict_proba(params, cfg, x)
-            tracemalloc.start()
-            try:
-                probs = training.predict_proba(params, cfg, x)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peak <= probs.nbytes + allowance, f"{peak / 2**20:.2f} MiB"
+            for rows in (8 * TILE_ROWS, 300):
+                tracemalloc.start()
+                try:
+                    probs = training.predict_proba(params, cfg, x[:rows])
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= probs.nbytes + allowance, f"{rows} rows: {peak / 2**20:.2f} MiB"
 
-    def test_the_workspace_holds_only_the_latest_config_and_row_counts(self):
+    def test_the_workspace_holds_one_pool_of_the_latest_config(self):
         """Scoring with one config, then another with partial tiles of many
-        sizes, leaves the same arrays as the last config's full and last
-        partial tile alone: neither a config switch nor a new partial size
-        grows the workspace."""
+        sizes, leaves the same buffers as two full tiles of the last config
+        alone: a config switch drops the old buffers, and a partial tile
+        fits in a full tile's."""
         old, new = TILE_CONFIGS["mid"], TILE_CONFIGS["default"]
-        x = np.random.default_rng(18).normal(size=(TILE_ROWS + 9, 15))
+        x = np.random.default_rng(18).normal(size=(2 * TILE_ROWS, 15))
 
         def pool_after(requests):
             held = []
@@ -778,7 +781,7 @@ class TestTiledInference:
                 for cfg, rows in requests:
                     training.predict_proba(init_model_params(cfg, 0), cfg, x[:rows])
                 ws = ad._STATE.workspace
-                held.append((ws.key, {rows: sizes for rows, (sizes, _) in ws.pools.items()}))
+                held.append((ws.key, list(ws.sizes)))
 
             thread = threading.Thread(target=run)  # a thread with no workspace yet
             with usable_cores(1):  # the tiles run on that thread
@@ -788,8 +791,8 @@ class TestTiledInference:
             return held[0]
 
         switched = pool_after([(old, TILE_ROWS + 9)] + [(new, TILE_ROWS + r) for r in range(1, 10)])
-        assert switched == pool_after([(new, TILE_ROWS + 9)])
-        assert switched[0] == new and sorted(switched[1]) == [9, TILE_ROWS]
+        assert switched[0] == new
+        assert switched == pool_after([(new, 2 * TILE_ROWS)])
 
     @pytest.mark.parametrize("row", [150, -1], ids=["middle_tile", "last_row"])
     def test_non_finite_feature_fails_before_any_tile_runs(self, row, monkeypatch):
