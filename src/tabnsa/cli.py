@@ -75,15 +75,8 @@ def default_config() -> dict:
         "version": CONFIG_VERSION,
         "data": {"csv": None, "target": None, "schema": None},
         "model": {
-            "nsa": {
-                "heads": 2,
-                "head_dim": 8,
-                "window": 3,
-                "compress_block": 4,
-                "compress_stride": 2,
-                "select_block": 2,
-                "num_selected": 2,
-            },
+            # NSAConfig derives dim, and the CLI runs only the non-causal variant
+            "nsa": {k: v for k, v in dataclasses.asdict(NSAConfig()).items() if k not in ("dim", "causal")},
             "num_tokens": None,
             "num_classes": None,
             "regression": None,
@@ -158,23 +151,14 @@ def apply_flag_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def build_nsa_config(nsa_cfg: dict, field: str = "model.nsa") -> NSAConfig:
-    """dim is derived from heads*head_dim; a null stride means the largest
-    value dividing both block sizes."""
-    d = dict(nsa_cfg)
-    heads, head_dim = d.get("heads"), d.get("head_dim")
-    if not isinstance(heads, int) or not isinstance(head_dim, int):
-        raise ConfigError(field, "heads and head_dim must be integers")
-    expected_dim = heads * head_dim
-    dim = d.pop("dim", None)
-    if dim is not None and dim != expected_dim:
-        raise ConfigError(f"{field}.dim", f"dim {dim} != heads*head_dim {expected_dim}")
-    if d.get("compress_stride") is None:
-        d["compress_stride"] = math.gcd(int(d["compress_block"]), int(d["select_block"]))
+def build_nsa_config(nsa_cfg: dict) -> NSAConfig:
+    """`NSAConfig` derives dim and a null compress_stride."""
+    if not isinstance(nsa_cfg.get("heads"), int) or not isinstance(nsa_cfg.get("head_dim"), int):
+        raise ConfigError("model.nsa", "heads and head_dim must be integers")
     try:
-        return NSAConfig(dim=expected_dim, **d)
+        return NSAConfig(**nsa_cfg)
     except (TypeError, ValueError) as err:
-        raise ConfigError(field, str(err))
+        raise ConfigError("model.nsa", str(err))
 
 
 def build_train_config(train_cfg: dict) -> TrainConfig:
@@ -184,10 +168,14 @@ def build_train_config(train_cfg: dict) -> TrainConfig:
         raise ConfigError("train", str(err))
 
 
-def build_search_space(space_cfg: dict) -> SearchSpace:
-    d = {k: tuple(v) if isinstance(v, list) else v for k, v in space_cfg.items()}
+def build_search(search_cfg: dict) -> tuple[SearchSpace, int]:
+    """The search section's (space, trial budget)."""
+    budget = search_cfg["budget"]
+    if not isinstance(budget, int) or budget < 1:
+        raise ConfigError("search.budget", "must be an integer >= 1")
+    d = {k: tuple(v) if isinstance(v, list) else v for k, v in search_cfg["space"].items()}
     try:
-        return SearchSpace(**d)
+        return SearchSpace(**d), budget
     except (TypeError, ValueError) as err:
         raise ConfigError("search.space", str(err))
 
@@ -268,6 +256,14 @@ def _sanitize(obj):
     return obj
 
 
+def _artifact(out_dir: str, name: str) -> str:
+    """The path of `name` in `out_dir`, which is created here: commands call
+    this only once their configs are built, so a rejected config writes
+    nothing."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
 def _write_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(_sanitize(obj), fh, sort_keys=True, indent=2)
@@ -290,7 +286,7 @@ def _write_manifest(outdir: str, command: str, cfg: dict, seeds: list[int], star
     }
     if extra:
         manifest.update(extra)
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
+    _write_json(_artifact(outdir, "manifest.json"), manifest)
 
 
 def _now() -> str:
@@ -305,15 +301,11 @@ def _metric_name(report_dict: dict) -> str:
     return "macro_f1"
 
 
-def _train_once(cfg: dict, raw, seed: int, out_dir: str | None = None):
-    """One seed of the train pipeline: split, fit, score the test set once.
-    `out_dir` is created once the seed's configs are built, so a rejected
-    config leaves no directory behind."""
+def _train_once(cfg: dict, raw, seed: int):
+    """One seed of the train pipeline: split, fit, score the test set once."""
     split, state = prepare_dataset(raw, seed)
     model_cfg = build_model_config(cfg, split)
     train_cfg = dataclasses.replace(build_train_config(cfg["train"]), seed=seed)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
     params, history = fit_model(model_cfg, split, train_cfg, seed)
     report = evaluation_report(params, model_cfg, *split.test)
     total_flops, _ = count_flops(model_cfg, batch_size=1)
@@ -354,18 +346,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     raw = load_table(cfg)
     summaries = []
     for seed in seeds:
-        summary, params, history, model_cfg, state = _train_once(cfg, raw, seed, args.out)
+        summary, params, history, model_cfg, state = _train_once(cfg, raw, seed)
         summaries.append(summary)
         tag = f"s{seed}"
-        _write_json(os.path.join(args.out, f"report_{tag}.json"), summary)
-        with open(os.path.join(args.out, f"history_{tag}.jsonl"), "w", encoding="utf-8") as fh:
+        _write_json(_artifact(args.out, f"report_{tag}.json"), summary)
+        with open(_artifact(args.out, f"history_{tag}.jsonl"), "w", encoding="utf-8") as fh:
             fh.write(history.to_jsonl())
-        save_checkpoint(os.path.join(args.out, f"checkpoint_{tag}.bin"), params, model_cfg)
-        with open(os.path.join(args.out, f"preprocess_{tag}.json"), "w", encoding="utf-8") as fh:
+        save_checkpoint(_artifact(args.out, f"checkpoint_{tag}.bin"), params, model_cfg)
+        with open(_artifact(args.out, f"preprocess_{tag}.json"), "w", encoding="utf-8") as fh:
             fh.write(state.to_json() + "\n")
     aggregate = _aggregate(summaries)
-    _write_json(os.path.join(args.out, "aggregate.json"), aggregate)
-    _write_json(os.path.join(args.out, "config.json"), cfg)
+    _write_json(_artifact(args.out, "aggregate.json"), aggregate)
+    _write_json(_artifact(args.out, "config.json"), cfg)
     _write_manifest(args.out, "train", cfg, seeds, started)
     _print_json(aggregate["metrics"])
     return 0
@@ -375,38 +367,33 @@ def cmd_tune(args: argparse.Namespace) -> int:
     started = _now()
     cfg = apply_flag_overrides(load_config(args.config), args)
     raw = load_table(cfg)
-    budget = cfg["search"]["budget"]
-    if budget < 1:
-        raise ConfigError("search.budget", "must be >= 1")
-    os.makedirs(args.out, exist_ok=True)
+    space, budget = build_search(cfg["search"])
     seed = cfg["search"]["seed"]
     split, state = prepare_dataset(raw, seed)
-    space = build_search_space(cfg["search"]["space"])
     template = build_model_config(cfg, split)
     base_train = build_train_config(cfg["train"])
-    log_path = os.path.join(args.out, "trials.jsonl")
     best, records = run_search(
         split, space, budget, seed,
-        model_template=template, base_train=base_train, log_path=log_path,
+        model_template=template, base_train=base_train, log_path=_artifact(args.out, "trials.jsonl"),
     )
     curve = best_so_far_curve(records)
-    with open(os.path.join(args.out, "sensitivity.csv"), "w", newline="", encoding="utf-8") as fh:
+    with open(_artifact(args.out, "sensitivity.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["trial_id", "val_metric", "best_so_far"])
         for rec, best_val in zip(sorted(records, key=lambda r: r.trial_id), curve):
             writer.writerow([rec.trial_id, f"{rec.val_metric:.6f}", f"{best_val:.6f}"])
     report, params = refit_best(best, split, seed=seed)
     model_cfg = ModelConfig.from_dict(report["config"]["model"])
-    save_checkpoint(os.path.join(args.out, "checkpoint_best.bin"), params, model_cfg)
-    with open(os.path.join(args.out, "preprocess_best.json"), "w", encoding="utf-8") as fh:
+    save_checkpoint(_artifact(args.out, "checkpoint_best.bin"), params, model_cfg)
+    with open(_artifact(args.out, "preprocess_best.json"), "w", encoding="utf-8") as fh:
         fh.write(state.to_json() + "\n")
     # keep only schema keys, so best_config.json is valid `train --config` input
     schema = default_config()
     best_cfg = json.loads(json.dumps(cfg))
     best_cfg["model"]["nsa"] = {k: v for k, v in best.model["nsa"].items() if k in schema["model"]["nsa"]}
     best_cfg["train"] = {k: v for k, v in report["config"]["train"].items() if k in schema["train"]}
-    _write_json(os.path.join(args.out, "best_config.json"), best_cfg)
-    _write_json(os.path.join(args.out, "refit_report.json"), report)
+    _write_json(_artifact(args.out, "best_config.json"), best_cfg)
+    _write_json(_artifact(args.out, "refit_report.json"), report)
     extra = {"budget": budget, "trial_wall_seconds": [rec.wall_seconds for rec in records]}
     _write_manifest(args.out, "tune", cfg, [seed], started, extra=extra)
     _print_json({"best_trial": best.trial_id, "val_metric": best.val_metric, "test": report["test"]})
@@ -434,8 +421,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluation_report(params, model_cfg, features, labels)
     payload = {"checkpoint": os.path.basename(args.checkpoint), "rows": int(features.values.shape[0]), "report": report.to_dict()}
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, "eval_report.json"), payload)
+        _write_json(_artifact(args.out, "eval_report.json"), payload)
     _print_json(payload)
     return 0
 
@@ -445,29 +431,24 @@ def cmd_transfer(args: argparse.Namespace) -> int:
     cfg = apply_flag_overrides(load_config(args.config), args)
     raw = load_table(cfg)
     seed = cfg["search"]["seed"]
-    budget = cfg["search"]["budget"]
-    space = build_search_space(cfg["search"]["space"])
+    space, budget = build_search(cfg["search"])
     base_train = build_train_config(cfg["train"])
-    os.makedirs(args.out, exist_ok=True)
     set1, set2 = transfer_split(raw, args.overlap, seed)
     shared = sorted(set(c.name for c in set1.feature_columns) & set(c.name for c in set2.feature_columns))
+    splits = {"set1": prepare_dataset(set1, seed)[0], "set2": prepare_dataset(set2, seed)[0]}
+    templates = {label: build_model_config(cfg, split) for label, split in splits.items()}
     trial_wall_seconds = {}
 
-    def direction(src, dst, label: str) -> dict:
-        split_src, _ = prepare_dataset(src, seed)
-        template_src = build_model_config(cfg, split_src)
+    def direction(src: str, dst: str) -> dict:
         best, records = run_search(
-            split_src, space, budget, seed,
-            model_template=template_src, base_train=base_train,
-            log_path=os.path.join(args.out, f"trials_{label}.jsonl"),
+            splits[src], space, budget, seed,
+            model_template=templates[src], base_train=base_train,
+            log_path=_artifact(args.out, f"trials_{src}.jsonl"),
         )
-        trial_wall_seconds[label] = [rec.wall_seconds for rec in records]
-        split_dst, _state = prepare_dataset(dst, seed)
-        nsa = NSAConfig(**best.model["nsa"])
-        template_dst = build_model_config(cfg, split_dst)
-        model_cfg = dataclasses.replace(template_dst, nsa=nsa)
-        params, history = fit_model(model_cfg, split_dst, TrainConfig(**best.train), best.seed)
-        report = evaluation_report(params, model_cfg, *split_dst.test)
+        trial_wall_seconds[src] = [rec.wall_seconds for rec in records]
+        model_cfg = dataclasses.replace(templates[dst], nsa=NSAConfig(**best.model["nsa"]))
+        params, history = fit_model(model_cfg, splits[dst], TrainConfig(**best.train), best.seed)
+        report = evaluation_report(params, model_cfg, *splits[dst].test)
         return {
             "tuned_nsa": best.model["nsa"],
             "applied_nsa": dataclasses.asdict(model_cfg.nsa),
@@ -477,8 +458,8 @@ def cmd_transfer(args: argparse.Namespace) -> int:
             "test": report.to_dict(),
         }
 
-    forward = direction(set1, set2, "set1")
-    backward = direction(set2, set1, "set2")
+    forward = direction("set1", "set2")
+    backward = direction("set2", "set1")
     for leg in (forward, backward):
         if leg["applied_nsa"] != leg["tuned_nsa"]:
             raise RuntimeError("transfer protocol violation: applied hyperparameters differ from tuned ones")
@@ -490,7 +471,7 @@ def cmd_transfer(args: argparse.Namespace) -> int:
         "set1_to_set2": forward,
         "set2_to_set1": backward,
     }
-    _write_json(os.path.join(args.out, "transfer.json"), result)
+    _write_json(_artifact(args.out, "transfer.json"), result)
     extra = {"overlap": args.overlap, "trial_wall_seconds": trial_wall_seconds}
     _write_manifest(args.out, "transfer", cfg, [seed], started, extra=extra)
     _print_json({"set1_to_set2": forward["test"], "set2_to_set1": backward["test"]})
@@ -513,7 +494,10 @@ def _ablate_settings(what: str, cfg: dict) -> list[tuple[str, str, dict]]:
         baseline = cfg["model"]["nsa"]
         for name, grid in SPARSE_SWEEPS.items():
             for value in grid:
+                # every row keeps 2 <= select_block <= compress_block
                 if name == "select_block" and value > baseline["compress_block"]:
+                    continue
+                if name == "compress_block" and value < baseline["select_block"]:
                     continue
                 rows.append((name, str(value), {"model": {"nsa": {name: value, "compress_stride": None}}}))
     else:
@@ -526,10 +510,16 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     cfg = apply_flag_overrides(load_config(args.config), args)
     seeds = parse_seeds(args.seeds)
     raw = load_table(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    rows = []
+    # build every row's configs before the first row trains
+    split, _ = prepare_dataset(raw, seeds[0])
+    sweep = []
     for parameter, value, overrides in _ablate_settings(args.what, cfg):
         merged = _merge(json.loads(json.dumps(cfg)), overrides, "")
+        build_model_config(merged, split)
+        build_train_config(merged["train"])
+        sweep.append((parameter, value, merged))
+    rows = []
+    for parameter, value, merged in sweep:
         reports = []
         for seed in seeds:
             summary, *_ = _train_once(merged, raw, seed)
@@ -544,8 +534,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
             "std": float(np.std(values)) if values else float("nan"),
             "n_seeds": len(seeds),
         })
-    table_path = os.path.join(args.out, f"ablation_{args.what}.csv")
-    with open(table_path, "w", newline="", encoding="utf-8") as fh:
+    with open(_artifact(args.out, f"ablation_{args.what}.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "value", "metric_name", "mean", "std", "n_seeds"])
         for row in rows:
@@ -553,7 +542,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                 row["parameter"], row["value"], row["metric_name"],
                 f"{row['mean']:.6f}", f"{row['std']:.6f}", row["n_seeds"],
             ])
-    _write_json(os.path.join(args.out, f"ablation_{args.what}.json"), rows)
+    _write_json(_artifact(args.out, f"ablation_{args.what}.json"), rows)
     _write_manifest(args.out, "ablate", cfg, seeds, started, extra={"what": args.what})
     _print_json(rows)
     return 0
@@ -579,8 +568,7 @@ def cmd_flops(args: argparse.Namespace) -> int:
         payload["dense_attention_computation"] = dense_attention_flops(model_cfg, batch_size=1)
         payload["sparse_attention_computation"] = breakdown["attention_computation"]
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        _write_json(os.path.join(args.out, "flops.json"), payload)
+        _write_json(_artifact(args.out, "flops.json"), payload)
     _print_json(payload)
     return 0
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -71,8 +70,8 @@ class SearchSpace:
 def sample_config(space: SearchSpace, rng: np.random.Generator, base_train: TrainConfig | None = None):
     """Draw one (NSAConfig, TrainConfig) pair from the space.
 
-    The compression stride is the largest value dividing both block sizes,
-    so every draw satisfies the attention config's divisibility rules.
+    `NSAConfig` derives the compression stride as the largest value dividing
+    both block sizes, so every draw satisfies its divisibility rules.
     """
     heads = int(rng.integers(space.heads[0], space.heads[1] + 1))
     head_dim = int(rng.integers(space.head_dim[0], space.head_dim[1] + 1))
@@ -83,12 +82,10 @@ def sample_config(space: SearchSpace, rng: np.random.Generator, base_train: Trai
     lr = float(np.exp(rng.uniform(np.log(space.lr[0]), np.log(space.lr[1]))))
     batch_size = int(rng.integers(space.batch_size[0], space.batch_size[1] + 1))
     nsa = NSAConfig(
-        dim=heads * head_dim,
         heads=heads,
         head_dim=head_dim,
         window=window,
         compress_block=compress_block,
-        compress_stride=math.gcd(compress_block, select_block),
         select_block=select_block,
         num_selected=num_selected,
     )

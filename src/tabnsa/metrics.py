@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,20 +101,6 @@ class EvalReport:
             "rmse": self.rmse,
             "confusion": self.confusion,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        d = json.loads(text)
-        return cls(
-            auc=d.get("auc"),
-            accuracy=d.get("accuracy"),
-            macro_f1=d.get("macro_f1"),
-            rmse=d.get("rmse"),
-            confusion=d.get("confusion"),
-        )
 
 
 def classification_report(probs: np.ndarray, labels, num_classes: int) -> EvalReport:

@@ -12,6 +12,7 @@ Gate order convention everywhere: index 0 = compression, 1 = selection,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -23,17 +24,27 @@ from .autodiff import Tensor
 
 @dataclass(frozen=True)
 class NSAConfig:
-    dim: int
-    heads: int
-    head_dim: int
-    window: int
-    compress_block: int
-    compress_stride: int
-    select_block: int
-    num_selected: int
+    """One attention layer's geometry; the defaults are the package's default
+    geometry. Two fields are derived when left None: `dim` becomes
+    heads * head_dim, and `compress_stride` becomes
+    gcd(compress_block, select_block), the largest stride dividing both
+    block sizes. An explicit value is checked by the same rules."""
+
+    dim: int | None = None
+    heads: int = 2
+    head_dim: int = 8
+    window: int = 3
+    compress_block: int = 4
+    compress_stride: int | None = None
+    select_block: int = 2
+    num_selected: int = 2
     causal: bool = False
 
     def __post_init__(self):
+        if self.dim is None:
+            object.__setattr__(self, "dim", self.heads * self.head_dim)
+        if self.compress_stride is None:
+            object.__setattr__(self, "compress_stride", math.gcd(self.compress_block, self.select_block))
         if self.dim != self.heads * self.head_dim:
             raise ValueError(f"dim {self.dim} != heads {self.heads} * head_dim {self.head_dim}")
         if self.window < 1:

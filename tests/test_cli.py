@@ -23,6 +23,7 @@ from tabnsa.cli import (
 from tabnsa.data import write_two_gaussians_csv
 from tabnsa.hyperopt import THREADS_ENV_VAR
 from tabnsa.model import load_checkpoint
+from tabnsa.nsa_attention import NSAConfig
 
 
 @pytest.fixture(scope="module")
@@ -130,11 +131,15 @@ class TestConfigMachinery:
         built = build_nsa_config(nsa)
         assert built.compress_stride == math.gcd(6, 4) == 2
 
-    def test_nsa_dim_must_match_heads_times_head_dim(self):
-        nsa = dict(default_config()["model"]["nsa"], dim=99)
-        with pytest.raises(ConfigError) as err:
-            build_nsa_config(nsa)
-        assert "model.nsa.dim" in str(err.value)
+    def test_nsa_dim_must_match_heads_times_head_dim(self, tmp_path, capsys):
+        # dim is derived, so a config file cannot set it at all
+        p = tmp_path / "dim.json"
+        p.write_text('{"model": {"nsa": {"dim": 16}}}')
+        assert main(["flops", "--config", str(p)]) == 2
+        assert "model.nsa.dim: unknown config field" in capsys.readouterr().err
+        assert build_nsa_config(default_config()["model"]["nsa"]).dim == 16
+        with pytest.raises(ValueError, match="dim 99"):
+            NSAConfig(dim=99)
 
     def test_flops_requires_num_tokens(self):
         with pytest.raises(ConfigError) as err:
@@ -238,6 +243,20 @@ class TestExitCodes:
         code = main(["train", "--config", str(p), "--csv", toy_csv, "--target", "label", "--out", str(out)])
         assert code == 2
         assert "history" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, body, flags, message", [
+        ("tune", {"search": {"space": {"heads": [3, 1]}}}, [], "config error: search.space"),
+        ("transfer", {}, ["--budget", "0", "--overlap", "0.5"], "config error: search.budget"),
+        ("ablate", {"train": {"lr": 5}}, ["--what", "fusion", "--seeds", "0"], "config error: train"),
+    ], ids=["tune", "transfer", "ablate"])
+    def test_rejected_config_leaves_no_out_dir(self, command, body, flags, message, toy_csv, tmp_path, capsys):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(body))
+        out = tmp_path / "o"
+        code = main([command, "--config", str(p), "--csv", toy_csv, "--target", "label", "--out", str(out), *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_seed_list(self, fast_config, tmp_path, capsys):
@@ -476,6 +495,19 @@ class TestAblateCommand:
         assert by_param["compress_block"] == ["4", "8", "16"]
         assert by_param["select_block"] == ["2", "4"]
         assert by_param["num_selected"] == ["1", "2", "4"]
+
+    def test_sparse_params_skips_a_compress_block_below_the_select_block(self, toy_csv, tmp_path):
+        p = tmp_path / "wide_select.json"
+        p.write_text(json.dumps({
+            "model": {"nsa": {"heads": 2, "head_dim": 4, "compress_block": 8, "select_block": 8, "compress_stride": 4}},
+            "train": {"max_epochs": 1, "patience": 1},
+        }))
+        out = str(tmp_path / "abl")
+        argv = ["ablate", "--config", str(p), "--csv", toy_csv, "--target", "label", "--out", out]
+        assert main(argv + ["--what", "sparse_params", "--seeds", "0"]) == 0
+        rows = list(csv.DictReader(open(os.path.join(out, "ablation_sparse_params.csv"))))
+        assert [r["value"] for r in rows if r["parameter"] == "compress_block"] == ["8", "16"]
+        assert [r["value"] for r in rows if r["parameter"] == "select_block"] == ["2", "4"]
 
 
 FLOPS_KEYS = [

@@ -62,6 +62,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_cfg(select_block=3, compress_stride=2)
 
+    def test_defaults_derive_dim_and_stride(self):
+        explicit = NSAConfig(dim=16, heads=2, head_dim=8, window=3, compress_block=4, compress_stride=2,
+                             select_block=2, num_selected=2)
+        assert NSAConfig() == explicit
+        derived = NSAConfig(heads=3, head_dim=5, compress_block=6, select_block=4)
+        assert (derived.dim, derived.compress_stride) == (15, 2)
+
     def test_select_block_bounds(self):
         with pytest.raises(ValueError):
             small_cfg(select_block=8, compress_block=4)
