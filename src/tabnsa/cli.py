@@ -499,7 +499,10 @@ def _ablate_settings(what: str, cfg: dict) -> list[tuple[str, str, dict]]:
                     continue
                 if name == "compress_block" and value < baseline["select_block"]:
                     continue
-                rows.append((name, str(value), {"model": {"nsa": {name: value, "compress_stride": None}}}))
+                nsa = {name: value}
+                if name in ("compress_block", "select_block"):
+                    nsa["compress_stride"] = None  # re-derived from the new blocks
+                rows.append((name, str(value), {"model": {"nsa": nsa}}))
     else:
         raise ConfigError("ablate", f"unknown axis {what!r}; expected one of {ABLATE_AXES}")
     return rows

@@ -5,25 +5,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 def roc_auc(scores, labels) -> float:
     """Probability that a random positive outscores a random negative, ties at 1/2.
 
-    Rank-sum (Mann-Whitney) formulation with midrank tie handling, O(B log B).
-    Raises ValueError unless both classes are present.
+    Rank-sum (Mann-Whitney) formulation with midrank tie handling, O(B log B):
+    tied scores share the mean of their 1-based ranks. Raises ValueError
+    unless both classes are present and every score is finite.
     """
     scores = np.asarray(scores, dtype=np.float64).reshape(-1)
     labels = np.asarray(labels).reshape(-1)
     if scores.shape != labels.shape:
         raise ValueError("scores and labels must have equal length")
+    if not np.isfinite(scores).all():
+        raise ValueError("roc_auc needs finite scores")
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc is undefined when only one class is present")
-    ranks = rankdata(scores, method="average")
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])  # tie-group starts
+    count = np.diff(first, append=scores.size)
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat((2 * first + count + 1) / 2.0, count)  # (lowest + highest rank) / 2
     rank_sum = ranks[pos].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

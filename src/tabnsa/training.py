@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from . import autodiff as ad
 from . import metrics
@@ -23,6 +22,14 @@ from .data import DatasetSplit, FeatureMatrix, LabelVector, class_weights
 from .model import ModelConfig, forward
 
 OPTIMIZERS = ("adamw", "lbfgs")
+
+# glibc serves a block above its mmap threshold (128 KiB at start) by mmap,
+# and when such a block is freed it raises that threshold to the block's size
+# and the heap's trim threshold to twice it, up to a 32 MiB cap (mallopt(3),
+# M_MMAP_THRESHOLD). `fit` frees one untouched block of this size first, so a
+# step's tape comes from the heap and its pages stay resident for the next
+# step instead of being unmapped or trimmed and faulted back in at every step.
+HEAP_RESERVE = 4 << 20
 
 
 class NanLossError(RuntimeError):
@@ -407,6 +414,8 @@ def _lbfgs_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch)
     """One accepted full-batch step of scipy's L-BFGS-B per epoch. A
     non-finite loss before the first accepted step is divergence in the
     first batch of epoch 1; after it, such a loss just ends training."""
+    from scipy import optimize  # only L-BFGS fits pay for importing it
+
     rows = np.arange(x.shape[0])
     epochs = 0
 
@@ -453,6 +462,7 @@ def fit(params: dict, model_cfg: ModelConfig, split: DatasetSplit, cfg: TrainCon
     absolute gradient entry falls to `cfg.lbfgs.tolerance`, its line search
     finds no step, or a probe's loss goes non-finite after the first epoch."""
     _check_model_shape(model_cfg, split)
+    np.empty(HEAP_RESERVE, dtype=np.uint8)  # see HEAP_RESERVE
     x_tr, y_tr = split.train[0].values, split.train[1]
     x_va, y_va = split.val[0].values, split.val[1]
     weights = class_weights(y_tr) if y_tr.task == "classification" else None

@@ -12,6 +12,8 @@ import pytest
 
 from tabnsa.cli import (
     ConfigError,
+    _ablate_settings,
+    _merge,
     build_model_config,
     build_nsa_config,
     build_parser,
@@ -508,6 +510,29 @@ class TestAblateCommand:
         rows = list(csv.DictReader(open(os.path.join(out, "ablation_sparse_params.csv"))))
         assert [r["value"] for r in rows if r["parameter"] == "compress_block"] == ["8", "16"]
         assert [r["value"] for r in rows if r["parameter"] == "select_block"] == ["2", "4"]
+
+    @staticmethod
+    def sweep_configs(cfg):
+        """(parameter, NSAConfig) for every `sparse_params` row of `cfg`."""
+        return [
+            (name, build_nsa_config(_merge(json.loads(json.dumps(cfg)), overrides, "")["model"]["nsa"]))
+            for name, _, overrides in _ablate_settings("sparse_params", cfg)
+        ]
+
+    def test_sparse_params_holds_the_baseline_stride_unless_a_block_changes(self):
+        cfg = default_config()
+        cfg["model"]["nsa"].update(compress_block=8, select_block=8, compress_stride=4)
+        built = self.sweep_configs(cfg)
+        held = [nsa.compress_stride for name, nsa in built if name in ("window", "num_selected")]
+        assert held == [4] * 7
+        derived = [(nsa.compress_block, nsa.select_block, nsa.compress_stride) for name, nsa in built
+                   if name in ("compress_block", "select_block")]
+        assert derived == [(8, 8, 8), (16, 8, 8), (8, 2, 2), (8, 4, 4)]
+
+    def test_sparse_params_rows_of_the_default_baseline_use_the_gcd_stride(self):
+        built = self.sweep_configs(default_config())
+        assert len(built) == 12
+        assert all(nsa.compress_stride == math.gcd(nsa.compress_block, nsa.select_block) for _, nsa in built)
 
 
 FLOPS_KEYS = [

@@ -3,8 +3,9 @@ in that module, every parameter a package function takes is read in its
 body, the sparse-attention gathers, the head split and the loss stay off
 the slow numpy scatter and gather routines, trainable leaves have one
 constructor, and only the workspace's `out=` helpers see whether a
-workspace is active, so each op keeps one code path. One check runs the
-package instead: importing it starts no thread and builds no workspace."""
+workspace is active, so each op keeps one code path. Two checks run the
+package instead: importing it starts no thread, builds no workspace and
+loads no scipy module beyond scipy.special."""
 
 import ast
 import os
@@ -170,15 +171,29 @@ def test_active_finder_sees_nested_qualified_and_module_level_reads():
     assert active_readers(source) == {"f", "C", "<module>"}
 
 
-def test_importing_every_module_starts_no_thread():
+def after_importing_every_module(expression: str) -> list[str]:
+    """The printed words of `expression`, evaluated in a fresh interpreter
+    once every package module is imported."""
     modules = [f"tabnsa.{path.stem}" for path in SOURCES if path.stem != "__init__"]
     script = (
-        "import importlib, threading\n"
+        "import importlib, sys, threading\n"
         f"for name in {modules!r}:\n"
         "    importlib.import_module(name)\n"
-        "print(threading.active_count(), importlib.import_module('tabnsa.autodiff')._STATE.workspace)\n"
+        f"print({expression})\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "None"]
+    return done.stdout.split()
+
+
+def test_importing_every_module_starts_no_thread():
+    workspace = "importlib.import_module('tabnsa.autodiff')._STATE.workspace"
+    assert after_importing_every_module(f"threading.active_count(), {workspace}") == ["1", "None"]
+
+
+def test_importing_every_module_loads_no_scipy_beyond_special():
+    """scipy.stats alone costs about a second and 45 MiB at start-up;
+    scipy.optimize is imported when an L-BFGS fit starts."""
+    assert after_importing_every_module("'scipy.special' in sys.modules, 'scipy.stats' in sys.modules, "
+                                        "'scipy.optimize' in sys.modules") == ["True", "False", "False"]

@@ -52,6 +52,30 @@ class TestRocAuc:
         with pytest.raises(ValueError):
             M.roc_auc([0.1, 0.2, 0.3], [0, 1])
 
+    def test_non_finite_score_raises(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                M.roc_auc([0.1, bad, 0.3], [0, 1, 1])
+
+    def test_equals_the_rankdata_formula_exactly(self):
+        """Bit for bit the rank-sum formula over scipy's average ranks, on
+        scores with heavy ties (signed zeros among them)."""
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(20)
+        for trial in range(300):
+            b = int(rng.integers(2, 300))
+            scores = rng.integers(-3, int(rng.integers(1, b + 4)), size=b) * rng.normal()
+            if trial % 3 == 0:
+                scores = np.round(rng.normal(size=b), 1)
+            labels = rng.integers(0, 2, size=b)
+            labels[:2] = [0, 1]
+            pos = labels == 1
+            n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+            ranks = rankdata(scores, method="average")
+            want = float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+            assert M.roc_auc(scores, labels) == want
+
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_matches_pairwise_oracle(self, data):

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import json
 import os
+import platform
 import subprocess
 import sys
 import textwrap
@@ -938,3 +939,37 @@ class TestOneTapePerStep:
             tracemalloc.stop()
         assert tape > 20 * 2**20  # the mid geometry keeps tens of MiB per batch of 64
         assert peak <= 2.0 * tape, f"fit peak {peak / 2**20:.1f} MiB, one tape {tape / 2**20:.1f} MiB"
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap reserve acts on glibc's malloc")
+    def test_later_fits_reuse_resident_memory(self):
+        """With only numpy and tabnsa imported, a fit after the first keeps
+        its steps' tapes in pages that are already resident: without the
+        heap reserve every step's tape is unmapped and faulted back in."""
+        script = textwrap.dedent("""
+            import resource, sys
+            import numpy as np
+            from tabnsa import data, model, training
+            from tabnsa.nsa_attention import NSAConfig
+
+            assert "scipy.stats" not in sys.modules
+            x, y = data.make_two_gaussians(500, 15, seed=0)
+            table = data.FeatureMatrix(x, [f"f{i}" for i in range(15)])
+            labels = data.LabelVector(y, "classification", num_classes=2, class_names=["c0", "c1"])
+            tr, va = np.arange(400), np.arange(400, 500)
+            val = (table.take(va), labels.take(va))
+            split = data.DatasetSplit((table.take(tr), labels.take(tr)), val, val, 0)
+            cfg = model.ModelConfig(nsa=NSAConfig(), num_tokens=15)
+            faults = []
+            for _ in range(2):
+                params = model.init_model_params(cfg, 0)
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                training.fit(params, cfg, split, training.TrainConfig(max_epochs=3, patience=3))
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            print(*faults)
+        """)
+        src = str(Path(model.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=180)
+        assert done.returncode == 0, done.stderr
+        first, second = map(int, done.stdout.split())
+        assert second < 500, f"second fit took {second} minor faults (first {first})"
