@@ -8,21 +8,11 @@ only the gradients still waiting to be passed on, and a later backward
 through the same graph counts each path once. The saved activations live as
 long as the graph does: drop the last reference to the output to free them.
 Only the primitives needed by this package are provided.
-
-Inside `workspace(key)`, ops record no tape and write their larger results
-into arrays that the calling thread keeps for that key from one call to
-the next, so a repeated tape-free forward touches no fresh pages, and
-neither does a smaller one, such as a partial tile. Each op computes its
-result with one numpy expression whose `out=` comes from an `_out` helper;
-outside a workspace that is None, and numpy allocates as usual.
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
-import math
-import sys
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -33,44 +23,23 @@ from scipy.special import expit, ndtr
 NEG_INF = -1e30
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
-
-class Workspace:
-    """Flat buffers that tape-free ops write their results into, for one key.
-
-    `empty` hands out the smallest pooled buffer that is large enough and
-    that nothing outside the pool refers to any more (no Tensor, view or
-    local), as a view of the requested shape, or else a new buffer. So a
-    buffer in use is never overwritten, and the pool grows to about one
-    call's live set, not to every array the call allocates. A smaller call
-    under the same key, such as a partial tile, fits in those buffers.
-    """
-
-    def __init__(self, key):
-        self.key = key
-        self.sizes: list[int] = []  # of the buffers, ascending
-        self.buffers: list[np.ndarray] = []
-
-    def empty(self, shape: tuple) -> np.ndarray:
-        size, buffers = math.prod(shape), self.buffers
-        first = bisect.bisect_left(self.sizes, size)
-        for i in range(first, len(buffers)):
-            # the pool's reference and getrefcount's argument: nothing else
-            if sys.getrefcount(buffers[i]) == 2:
-                return buffers[i][:size].reshape(shape)
-        self.sizes.insert(first, size)
-        buffers.insert(first, np.empty(size))
-        return buffers[first].reshape(shape)
+# glibc serves a block above its mmap threshold (128 KiB at start) by mmap,
+# and when such a block is freed it raises that threshold to the block's size
+# and the heap's trim threshold to twice it, up to a 32 MiB cap (mallopt(3),
+# M_MMAP_THRESHOLD). Importing this module frees one untouched block of this
+# size, so the arrays of up to this size in a training step's tape or a
+# scoring tile come from the heap, and their pages stay resident for the next
+# step or tile instead of being unmapped or trimmed and faulted back in.
+HEAP_RESERVE = 4 << 20
+np.empty(HEAP_RESERVE, dtype=np.uint8)
 
 
 class _ThreadState(threading.local):
-    """Per-thread switches, so concurrent fits and tape-free forwards cannot
-    interfere: whether ops record a tape, this thread's workspace (built on
-    its first `workspace` block) and whether ops write into it now."""
+    """Whether ops record a tape, per thread, so concurrent fits and
+    tape-free forwards cannot interfere."""
 
     def __init__(self):
         self.grad_enabled = True
-        self.workspace: Workspace | None = None
-        self.active: Workspace | None = None
 
 
 _STATE = _ThreadState()
@@ -89,86 +58,6 @@ def no_grad():
         yield
     finally:
         _STATE.grad_enabled = prev
-
-
-@contextlib.contextmanager
-def workspace(key):
-    """Record no tape inside the with-block, and write op results into this
-    thread's workspace for `key`; a new key replaces the workspace, so the
-    thread holds the buffers of one key only. The arrays are reused by
-    later blocks on this thread, so a result that must outlive the block is
-    copied out."""
-    if _STATE.workspace is None or _STATE.workspace.key != key:
-        _STATE.workspace = Workspace(key)
-    prev = _STATE.active
-    _STATE.active = _STATE.workspace
-    try:
-        with no_grad():
-            yield
-    finally:
-        _STATE.active = prev
-
-
-# The `out=` helpers: an array of the active workspace for an op's result,
-# or None outside one, so that numpy allocates the result as it would
-# without `out=`. Only these and `workspace` read `_STATE.active`.
-
-
-def _out(shape: tuple) -> np.ndarray | None:
-    return None if _STATE.active is None else _STATE.active.empty(shape)
-
-
-def _out_like(a: np.ndarray) -> np.ndarray | None:
-    """For an elementwise result of `a`, in the memory order numpy would
-    give it (C, or C with the last two axes swapped, as for a swapaxes
-    view); None for any other order, which numpy allocates."""
-    if _STATE.active is None:
-        return None
-    if a.flags.c_contiguous:
-        return _out(a.shape)
-    if a.ndim >= 2 and a.swapaxes(-1, -2).flags.c_contiguous:
-        return _out(a.swapaxes(-1, -2).shape).swapaxes(-1, -2)
-    return None
-
-
-def _out_broadcast(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """For an elementwise result of x and y when numpy would give it C
-    order: both operands are C-contiguous, or one of them is and has the
-    result's shape. None otherwise."""
-    if _STATE.active is None:
-        return None
-    shape = x.shape if x.shape == y.shape else np.broadcast(x, y).shape
-    if x.flags.c_contiguous and (y.flags.c_contiguous or x.shape == shape):
-        return _out(shape)
-    if y.flags.c_contiguous and y.shape == shape:
-        return _out(shape)
-    return None
-
-
-def _out_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """For x @ y, which numpy gives C order."""
-    if _STATE.active is None:
-        return None
-    batch = x.shape[:-2]
-    if y.ndim > 2 and y.shape[:-2] != batch:
-        batch = np.broadcast_shapes(batch, y.shape[:-2])
-    return _out(batch + (x.shape[-2], y.shape[-1]))
-
-
-def _copy(a: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of `a`, into the active workspace if there is one.
-    The one fork on `_out`: numpy's copy takes no `out=`, and a ufunc copy
-    of a transposed array is about twice as slow."""
-    out = _out(a.shape)
-    if out is None:
-        return a.copy()
-    out[...] = a
-    return out
-
-
-def _contiguous(a: np.ndarray) -> np.ndarray:
-    """np.ascontiguousarray(a), copying into the active workspace if needed."""
-    return a if a.flags.c_contiguous else _copy(a)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -350,13 +239,13 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward: Callable) -> Te
 
 def add(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
-    data = np.add(a.data, b.data, out=_out_broadcast(a.data, b.data))
+    data = a.data + b.data
     return _node(data, (a, b), lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
-    data = np.multiply(a.data, b.data, out=_out_broadcast(a.data, b.data))
+    data = a.data * b.data
     return _node(
         data,
         (a, b),
@@ -368,7 +257,7 @@ def matmul(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must be at least 2-D")
-    data = np.matmul(a.data, b.data, out=_out_matmul(a.data, b.data))
+    data = a.data @ b.data
 
     def vjp(g):
         ga = _matmul_to(g, b.data.swapaxes(-1, -2), a.data.shape)
@@ -399,7 +288,7 @@ def linear(x, w, b) -> Tensor:
     """x @ w + b as one node. w is (K, P), or (H, K, P) per-head weights
     under a (B, H, M, K) input; b broadcasts over the product."""
     x, w, b = _ensure(x), _ensure(w), _ensure(b)
-    data = np.matmul(x.data, w.data, out=_out_matmul(x.data, w.data))
+    data = x.data @ w.data
     data += b.data
 
     def vjp(g):
@@ -413,15 +302,10 @@ def linear(x, w, b) -> Tensor:
 def layer_norm(x, scale, shift, eps: float) -> Tensor:
     """(x - mean) / sqrt(var + eps) * scale + shift over the last axis, as one node."""
     x, scale, shift = _ensure(x), _ensure(scale), _ensure(shift)
-    xd = x.data
-    mean = xd.mean(axis=-1, keepdims=True)
-    centered = np.subtract(xd, mean, out=_out_like(xd))
-    square = np.multiply(centered, centered, out=_out_like(xd))
-    std = np.sqrt(square.mean(axis=-1, keepdims=True) + eps)
-    del square  # so that a workspace can reuse it for xhat
-    xhat = np.divide(centered, std, out=_out_like(xd))
-    data = np.multiply(xhat, scale.data, out=_out_like(xd))
-    data += shift.data
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered / std
+    data = xhat * scale.data + shift.data
 
     def vjp(g):
         gx = g * scale.data
@@ -436,7 +320,7 @@ def layer_norm(x, scale, shift, eps: float) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = _ensure(a)
-    data = expit(a.data, out=_out_like(a.data))
+    data = expit(a.data)
     return _node(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
@@ -444,8 +328,8 @@ def gelu(a) -> Tensor:
     """Exact x * Phi(x), Phi the standard normal CDF; not the tanh approximation."""
     a = _ensure(a)
     x = a.data
-    cdf = ndtr(x, out=_out_like(x))
-    data = np.multiply(x, cdf, out=_out_like(x))
+    cdf = ndtr(x)
+    data = x * cdf
 
     def vjp(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
@@ -456,8 +340,8 @@ def gelu(a) -> Tensor:
 
 def silu(a) -> Tensor:
     a = _ensure(a)
-    s = expit(a.data, out=_out_like(a.data))
-    data = np.multiply(a.data, s, out=_out_like(a.data))
+    s = expit(a.data)
+    data = a.data * s
 
     def vjp(g):
         return (g * s * (1.0 + a.data * (1.0 - s)),)
@@ -519,7 +403,7 @@ def split_heads(flat, heads: int) -> Tensor:
     """(B, N, H*Dh) -> C-contiguous (B, H, N, Dh), one transpose copy."""
     flat = _ensure(flat)
     b, n, width = flat.data.shape
-    data = _contiguous(flat.data.reshape(b, n, heads, width // heads).transpose(0, 2, 1, 3))
+    data = np.ascontiguousarray(flat.data.reshape(b, n, heads, width // heads).transpose(0, 2, 1, 3))
     return _node(data, (flat,), lambda g: (g.transpose(0, 2, 1, 3).reshape(b, n, width),))
 
 
@@ -527,7 +411,7 @@ def merge_heads(t) -> Tensor:
     """(B, H, N, Dh) -> C-contiguous (B, N, H*Dh), the inverse of split_heads."""
     t = _ensure(t)
     b, h, n, dh = t.data.shape
-    data = _contiguous(t.data.transpose(0, 2, 1, 3)).reshape(b, n, h * dh)
+    data = np.ascontiguousarray(t.data.transpose(0, 2, 1, 3)).reshape(b, n, h * dh)
     return _node(data, (t,), lambda g: (g.reshape(b, n, h, dh).transpose(0, 2, 1, 3),))
 
 
@@ -563,15 +447,13 @@ def getitem(a, key) -> Tensor:
 def gather_blocks(t, idx: np.ndarray) -> Tensor:
     """Gather (possibly overlapping) token blocks shared across batch and head.
 
-    t: (B, H, N, Dh); idx: int array (M, L) of token positions in [0, N),
-    which the caller guarantees: an index outside is clipped, not rejected.
+    t: (B, H, N, Dh); idx: int array (M, L) of token positions in [0, N).
     Returns a C-contiguous (B, H, M, L, Dh) with out[b,h,m,j] = t[b,h,idx[m,j]].
     """
     t = _ensure(t)
     idx = np.asarray(idx, dtype=np.intp)
+    data = t.data.take(idx, axis=2)
     B, H, N, Dh = t.data.shape
-    # "clip" because `take` buffers `out` in its default "raise" mode
-    data = t.data.take(idx, axis=2, out=_out((B, H) + idx.shape + (Dh,)), mode="clip")
 
     def vjp(g):
         onehot = (np.arange(N)[:, None] == idx.reshape(-1)).astype(np.float64)  # (N, M*L)
@@ -584,8 +466,7 @@ def gather_selected(t, idx: np.ndarray) -> Tensor:
     """Gather per-sample, per-query token positions, shared across heads.
 
     t: (B, H, N, Dh); idx: int array (B, T, S) of token positions in [0, N)
-    for each of T queries, as in `gather_blocks` guaranteed by the caller.
-    Returns a C-contiguous (B, H, T, S, Dh) with
+    for each of T queries. Returns a C-contiguous (B, H, T, S, Dh) with
     out[b,h,t,s] = t[b,h,idx[b,t,s]]: one `take` of Dh-wide rows at flat
     offsets (b*H + h)*N + idx[b,t,s] of the contiguous (B*H*N, Dh) layout.
     """
@@ -595,7 +476,7 @@ def gather_selected(t, idx: np.ndarray) -> Tensor:
     _, T, S = idx.shape
     offsets = (np.arange(B)[:, None] * H + np.arange(H)) * N  # (B, H)
     rows = np.ascontiguousarray(t.data).reshape(B * H * N, Dh)
-    data = rows.take(offsets[:, :, None, None] + idx[:, None], axis=0, out=_out((B, H, T, S, Dh)), mode="clip")
+    data = rows.take(offsets[:, :, None, None] + idx[:, None], axis=0)
 
     def vjp(g):
         onehot = (np.arange(N)[:, None] == idx.reshape(B, 1, 1, T * S)).astype(np.float64)  # (B, 1, N, T*S)
@@ -614,12 +495,12 @@ def _masked_softmax(logits: np.ndarray, valid: np.ndarray | None) -> np.ndarray:
     numpy's reductions along a short axis severalfold."""
     if valid is not None:
         np.copyto(logits, NEG_INF, where=~valid)
-    top = _copy(logits[..., 0])
+    top = logits[..., 0].copy()
     for j in range(1, logits.shape[-1]):
         np.maximum(top, logits[..., j], out=top)
     logits -= top[..., None]
     e = np.exp(logits, out=logits)
-    total = _copy(e[..., 0])
+    total = e[..., 0].copy()
     for j in range(1, e.shape[-1]):
         total += e[..., j]
     e /= total[..., None]
@@ -638,8 +519,7 @@ def attention_weights(q, k, valid: np.ndarray | None = None) -> Tensor:
     """
     q, k = _ensure(q), _ensure(k)
     scale = 1.0 / np.sqrt(q.data.shape[-1])
-    kt = k.data.swapaxes(-1, -2)
-    logits = np.matmul(q.data, kt, out=_out_matmul(q.data, kt))
+    logits = q.data @ k.data.swapaxes(-1, -2)
     logits *= scale
     p = _masked_softmax(logits, valid)
 
@@ -661,12 +541,12 @@ def attend(q, keys, values, valid: np.ndarray | None = None) -> tuple[Tensor, np
     """
     q, keys, values = _ensure(q), _ensure(keys), _ensure(values)
     # einsum is several times faster when its operands share one C layout
-    qd, kd, vd = (_contiguous(t.data) for t in (q, keys, values))
+    qd, kd, vd = (np.ascontiguousarray(t.data) for t in (q, keys, values))
     scale = 1.0 / np.sqrt(qd.shape[-1])
-    logits = np.einsum("...d,...sd->...s", qd, kd, out=_out(kd.shape[:-1]))
+    logits = np.einsum("...d,...sd->...s", qd, kd)
     logits *= scale
     p = _masked_softmax(logits, valid)
-    out = np.einsum("...s,...sd->...d", p, vd, out=_out(qd.shape))
+    out = np.einsum("...s,...sd->...d", p, vd)
 
     def vjp(g):
         g = np.ascontiguousarray(g)

@@ -241,10 +241,8 @@ def forward(x: np.ndarray, params: dict, config: ModelConfig) -> Tensor:
 
 
 def _forward_tile(x: np.ndarray, params: dict, config: ModelConfig) -> np.ndarray:
-    # the workspace also turns this thread's tape off; the logits are copied
-    # out of it, since the next tile on this thread reuses its arrays
-    with ad.workspace(config):
-        return _forward(x, params, config).data.copy()
+    with ad.no_grad():  # the tape switch is per thread
+        return _forward(x, params, config).data
 
 
 def _forward(x: np.ndarray, params: dict, config: ModelConfig) -> Tensor:

@@ -23,14 +23,6 @@ from .model import ModelConfig, forward
 
 OPTIMIZERS = ("adamw", "lbfgs")
 
-# glibc serves a block above its mmap threshold (128 KiB at start) by mmap,
-# and when such a block is freed it raises that threshold to the block's size
-# and the heap's trim threshold to twice it, up to a 32 MiB cap (mallopt(3),
-# M_MMAP_THRESHOLD). `fit` frees one untouched block of this size first, so a
-# step's tape comes from the heap and its pages stay resident for the next
-# step instead of being unmapped or trimmed and faulted back in at every step.
-HEAP_RESERVE = 4 << 20
-
 
 class NanLossError(RuntimeError):
     """Training aborted because a mini-batch loss went non-finite, or, with
@@ -209,7 +201,9 @@ class AdamW:
     buffers, updates them in place in chunks of `CHUNK` elements, then
     writes the parameters back into each `p.data` in place. Each element
     sees the same float operations, in the same order, as a per-parameter
-    loop. Only the first step allocates anything parameter-sized."""
+    loop. A step allocates nothing parameter-sized: the moments, the flat
+    gradient and parameter buffers and the chunk scratch are one zeroed
+    block made here."""
 
     CHUNK = 32768
 
@@ -218,15 +212,7 @@ class AdamW:
         self.lr = float(lr)
         self.cfg = cfg or AdamWConfig()
         self.t = 0
-        self.m = self.v = None  # allocated by the first step
-
-    def _allocate(self) -> None:
-        """The moments, the flat gradient and parameter buffers and the chunk
-        scratch as one zeroed block. The first step makes it while its tape
-        is alive, so the block lands above that tape in the heap and the
-        allocator keeps the tape's freed pages for the next step instead of
-        handing them back to the system at every step boundary."""
-        n = sum(p.data.size for p in self.params.values())
+        n = sum(p.data.size for p in params.values())
         c = min(n, self.CHUNK)
         block = np.zeros(4 * n + 2 * c)
         self.m, self.v, self._grad, self._flat = block[:4 * n].reshape(4, n)
@@ -237,8 +223,6 @@ class AdamW:
             p.grad = None
 
     def step(self) -> None:
-        if self.m is None:
-            self._allocate()
         self.t += 1
         b1, b2, eps, wd, lr = self.cfg.beta1, self.cfg.beta2, self.cfg.eps, self.cfg.weight_decay, self.lr
         c1 = 1.0 - b1 ** self.t
@@ -462,7 +446,6 @@ def fit(params: dict, model_cfg: ModelConfig, split: DatasetSplit, cfg: TrainCon
     absolute gradient entry falls to `cfg.lbfgs.tolerance`, its line search
     finds no step, or a probe's loss goes non-finite after the first epoch."""
     _check_model_shape(model_cfg, split)
-    np.empty(HEAP_RESERVE, dtype=np.uint8)  # see HEAP_RESERVE
     x_tr, y_tr = split.train[0].values, split.train[1]
     x_va, y_va = split.val[0].values, split.val[1]
     weights = class_weights(y_tr) if y_tr.task == "classification" else None

@@ -2,10 +2,8 @@
 in that module, every parameter a package function takes is read in its
 body, the sparse-attention gathers, the head split and the loss stay off
 the slow numpy scatter and gather routines, trainable leaves have one
-constructor, and only the workspace's `out=` helpers see whether a
-workspace is active, so each op keeps one code path. Two checks run the
-package instead: importing it starts no thread, builds no workspace and
-loads no scipy module beyond scipy.special."""
+constructor. Two checks run the package instead: importing it starts no
+thread and loads no scipy module beyond scipy.special."""
 
 import ast
 import os
@@ -23,9 +21,6 @@ SLOW_CALL_FREE = {
     "gather_blocks": "autodiff", "gather_selected": "autodiff", "split_heads": "autodiff",
     "weighted_cross_entropy": "training",
 }
-# the autodiff definitions that may touch `_STATE.active`: the block that
-# sets it and the helpers that give an op its `out=` array
-ACTIVE_READERS = {"workspace", "_out", "_out_like", "_out_broadcast", "_out_matmul"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -147,30 +142,6 @@ def test_leaf_finder_sees_nested_and_module_level_leaves():
     assert leaf_constructors(source) == {"f", "<module>"}
 
 
-def active_readers(source: str) -> set[str]:
-    """Top-level definitions that touch the `active` attribute of a name
-    `_STATE`, bare or module-qualified."""
-    return definitions_where(source, lambda node: (
-        isinstance(node, ast.Attribute) and node.attr == "active"
-        and ast.unparse(node.value).rpartition(".")[2] == "_STATE"
-    ))
-
-
-def test_only_the_out_helpers_see_the_active_workspace():
-    found = {(path.stem, name) for path in SOURCES for name in active_readers(path.read_text(encoding="utf-8"))}
-    assert found == {("autodiff", name) for name in ACTIVE_READERS}
-
-
-def test_active_finder_sees_nested_qualified_and_module_level_reads():
-    source = (
-        "def f(a):\n    def g():\n        return _STATE.active\n    return g\n"
-        "class C:\n    def m(self):\n        return ad._STATE.active.empty(())\n"
-        "def h():\n    return _STATE.workspace, state.active\n"
-        "ws = _STATE.active\n"
-    )
-    assert active_readers(source) == {"f", "C", "<module>"}
-
-
 def after_importing_every_module(expression: str) -> list[str]:
     """The printed words of `expression`, evaluated in a fresh interpreter
     once every package module is imported."""
@@ -188,8 +159,7 @@ def after_importing_every_module(expression: str) -> list[str]:
 
 
 def test_importing_every_module_starts_no_thread():
-    workspace = "importlib.import_module('tabnsa.autodiff')._STATE.workspace"
-    assert after_importing_every_module(f"threading.active_count(), {workspace}") == ["1", "None"]
+    assert after_importing_every_module("threading.active_count()") == ["1"]
 
 
 def test_importing_every_module_loads_no_scipy_beyond_special():

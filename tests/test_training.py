@@ -583,7 +583,7 @@ def benchmark_config(regression=False, heads=2, head_dim=8, compress_block=4):
 
 def serial_tiles(x, params, cfg):
     """The tiled forward's reference: `_forward` on each TILE_ROWS slice in
-    order on the calling thread, outside any workspace, concatenated."""
+    order on the calling thread, concatenated."""
     with ad.no_grad():
         tiles = [model._forward(x[i:i + TILE_ROWS], params, cfg).data for i in range(0, len(x), TILE_ROWS)]
     return np.concatenate(tiles)
@@ -697,8 +697,8 @@ class TestTiledInference:
         assert got == [[w] * 3 for w in want]
 
     def test_concurrent_callers_with_different_configs_get_the_serial_bytes(self):
-        """Pool threads switch between two configs' workspaces while both
-        callers score."""
+        """Pool threads switch between two configs while both callers
+        score."""
         cfgs = [TILE_CONFIGS["default"], TILE_CONFIGS["mid"]]
         params = [init_model_params(cfg, 12) for cfg in cfgs]
         x = np.random.default_rng(13).normal(size=(1000, 15))
@@ -741,59 +741,37 @@ class TestTiledInference:
                 forward(x2, params, cfg)
         assert np.array_equal(probs, kept[0]) and np.array_equal(logits.data, kept[1])
 
-    @pytest.mark.parametrize("geometry", [(2, 8, 4), (4, 24, 8)], ids=["default", "mid"])
-    def test_a_repeated_request_allocates_only_its_result(self, geometry):
-        """Once each pool thread has run full tiles of this config, a request
-        of full tiles, and then one of full tiles and a partial one, each
-        allocate their probabilities plus at most 3 MiB: the copied logits
-        and, per tile in flight, the selection scores and index arrays that
-        stay outside the workspace (1.3 MiB at mid). With every tile
-        allocated afresh, a 1024-row request took 14 MiB more at the default
-        geometry and 80 MiB more at mid; with a pool per tile size, the
-        300-row request took 13.7 MiB more at mid."""
-        allowance = 3 * 2**20
-        cfg = benchmark_config(False, *geometry)
-        params = init_model_params(cfg, 0)
-        x = np.random.default_rng(17).normal(size=(8 * TILE_ROWS, 15))
-        with usable_cores(2):
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap reserve acts on glibc's malloc")
+    def test_a_repeated_request_faults_in_no_fresh_pages(self):
+        """With only numpy and tabnsa imported, a default-geometry request
+        after three of 1024 rows, of 1024 rows and then of a full tile and a
+        partial one, runs its tiles in pages that are already resident.
+        Without the heap reserve each took thousands of minor faults."""
+        script = textwrap.dedent("""
+            import resource, sys
+            import numpy as np
+            from tabnsa import model, training
+            from tabnsa.nsa_attention import NSAConfig
+
+            assert "scipy.stats" not in sys.modules
+            cfg = model.ModelConfig(nsa=NSAConfig(), num_tokens=15)
+            params = model.init_model_params(cfg, 0)
+            x = np.random.default_rng(17).normal(size=(1024, 15))
             for _ in range(3):
                 training.predict_proba(params, cfg, x)
-            for rows in (8 * TILE_ROWS, 300):
-                tracemalloc.start()
-                try:
-                    probs = training.predict_proba(params, cfg, x[:rows])
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak <= probs.nbytes + allowance, f"{rows} rows: {peak / 2**20:.2f} MiB"
-
-    def test_the_workspace_holds_one_pool_of_the_latest_config(self):
-        """Scoring with one config, then another with partial tiles of many
-        sizes, leaves the same buffers as two full tiles of the last config
-        alone: a config switch drops the old buffers, and a partial tile
-        fits in a full tile's."""
-        old, new = TILE_CONFIGS["mid"], TILE_CONFIGS["default"]
-        x = np.random.default_rng(18).normal(size=(2 * TILE_ROWS, 15))
-
-        def pool_after(requests):
-            held = []
-
-            def run():
-                for cfg, rows in requests:
-                    training.predict_proba(init_model_params(cfg, 0), cfg, x[:rows])
-                ws = ad._STATE.workspace
-                held.append((ws.key, list(ws.sizes)))
-
-            thread = threading.Thread(target=run)  # a thread with no workspace yet
-            with usable_cores(1):  # the tiles run on that thread
-                thread.start()
-                thread.join(timeout=60)
-            assert not thread.is_alive()
-            return held[0]
-
-        switched = pool_after([(old, TILE_ROWS + 9)] + [(new, TILE_ROWS + r) for r in range(1, 10)])
-        assert switched[0] == new
-        assert switched == pool_after([(new, 2 * TILE_ROWS)])
+            faults = []
+            for rows in (1024, 300):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                training.predict_proba(params, cfg, x[:rows])
+                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+            print(*faults)
+        """)
+        src = str(Path(model.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=180)
+        assert done.returncode == 0, done.stderr
+        faults = dict(zip((1024, 300), map(int, done.stdout.split())))
+        assert max(faults.values()) < 500, f"minor faults per request, by rows: {faults}"
 
     @pytest.mark.parametrize("row", [150, -1], ids=["middle_tile", "last_row"])
     def test_non_finite_feature_fails_before_any_tile_runs(self, row, monkeypatch):
@@ -810,12 +788,11 @@ class TestTiledInference:
     def test_forked_child_scores_with_a_pool_of_its_own(self):
         """A `fork` child inherits the parent's pool object but none of its
         threads; it must build its own and score the same bytes. On one
-        core the tiles run on the forking thread, so the child's first
-        request runs in the workspace it inherited from that thread."""
+        core the tiles run on the forking thread."""
         template = textwrap.dedent("""
             import multiprocessing
             import numpy as np
-            from tabnsa import autodiff, model, training
+            from tabnsa import model, training
             from test_training import benchmark_config
 
             cores = {cores}
@@ -825,7 +802,6 @@ class TestTiledInference:
             x = np.random.default_rng(11).normal(size=(1000, 15))
             parent = training.predict_proba(params, cfg, x).tobytes()
             assert (model._TILE_POOL is None) == (cores == 1)
-            assert (autodiff._STATE.workspace is None) == (cores > 1)
 
             def child(conn):
                 conn.send((model._TILE_POOL is None, training.predict_proba(params, cfg, x).tobytes()))
