@@ -741,6 +741,31 @@ class TestTiledInference:
                 forward(x2, params, cfg)
         assert np.array_equal(probs, kept[0]) and np.array_equal(logits.data, kept[1])
 
+    @pytest.mark.parametrize("geometry", [(2, 8, 4), (4, 24, 8)], ids=["default", "mid"])
+    def test_a_repeated_request_allocates_only_its_result(self, geometry):
+        """Once the pool threads have run this config, a request of full
+        tiles, and then one of full tiles and a partial one, leave nothing
+        allocated when they return but their probabilities and at most
+        16 KiB of bookkeeping (1.1-2.6 KiB measured): no tile array outlives
+        its request. One 128-row tile's attention output alone is 240 KiB at
+        the default geometry. The peak while the tiles run is bounded by
+        `test_peak_memory_does_not_grow_with_the_request`."""
+        allowance = 16 * 2**10
+        cfg = benchmark_config(False, *geometry)
+        params = init_model_params(cfg, 0)
+        x = np.random.default_rng(17).normal(size=(8 * TILE_ROWS, 15))
+        with usable_cores(2):
+            for _ in range(3):
+                training.predict_proba(params, cfg, x)
+            for rows in (8 * TILE_ROWS, 300):
+                tracemalloc.start()
+                try:
+                    probs = training.predict_proba(params, cfg, x[:rows])
+                    held = tracemalloc.get_traced_memory()[0]
+                finally:
+                    tracemalloc.stop()
+                assert held <= probs.nbytes + allowance, f"{rows} rows: {held} bytes held"
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the heap reserve acts on glibc's malloc")
     def test_a_repeated_request_faults_in_no_fresh_pages(self):
         """With only numpy and tabnsa imported, a default-geometry request
