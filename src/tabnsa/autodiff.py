@@ -202,6 +202,12 @@ def make_leaves(specs: dict, rng: np.random.Generator | int) -> dict[str, Tensor
     return leaves
 
 
+def alias_leaves(params: dict[str, Tensor]) -> dict[str, Tensor]:
+    """Leaves over the same arrays as `params`, each with a `.grad` of its
+    own, so several tapes can run over one set of weights at once."""
+    return {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}
+
+
 def flatten(arrays: Iterable[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
     """The flat parameter layout: the arrays raveled and concatenated in
     order into one new vector, or into `out` when it is given."""

@@ -5,13 +5,18 @@ best-validation-loss weights; between validations it runs epochs of the
 configured optimizer: a seeded shuffled mini-batch pass of AdamW (decoupled
 weight decay), or one accepted step of full-batch L-BFGS (scipy's L-BFGS-B
 with its strong-Wolfe line search). The target picks the loss:
-class-weighted cross-entropy for a label, MSE for a number.
+class-weighted cross-entropy for a label, MSE for a number. A step whose
+half batch reaches `SHARD_FLOPS` forward FLOPs runs as two half-batch
+tapes, the second on the tile pool when a fit runs on the main thread.
 """
 
 from __future__ import annotations
 
 import json
+import threading
+from concurrent.futures import wait
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
@@ -19,9 +24,13 @@ from . import autodiff as ad
 from . import metrics
 from .autodiff import Tensor
 from .data import DatasetSplit, FeatureMatrix, LabelVector, class_weights
-from .model import ModelConfig, forward
+from .model import ModelConfig, _tile_pool, count_flops, forward
 
 OPTIMIZERS = ("adamw", "lbfgs")
+
+# forward FLOPs (`count_flops`) of half a batch from which a step runs as two
+# half-batch tapes; below it the hand-off costs more than a second core saves
+SHARD_FLOPS = 24_000_000
 
 
 class NanLossError(RuntimeError):
@@ -359,32 +368,75 @@ def _batch_loss(params, model_cfg, x, y, rows, weights) -> Tensor | None:
     return loss if np.isfinite(loss.item()) else None
 
 
-def _adamw_step(opt: AdamW, params, model_cfg, x, y, rows, weights) -> float | None:
-    """One AdamW step on `rows`; returns the batch loss, or None on
-    divergence. The step's tape is unreachable once this returns, so no
-    two steps' graphs are ever alive together."""
-    loss = _batch_loss(params, model_cfg, x, y, rows, weights)
-    if loss is None:
+def _first_shard(model_cfg: ModelConfig, batch: int) -> int:
+    """Rows in a step's first shard: the larger half of the batch when half
+    a batch reaches SHARD_FLOPS forward FLOPs, else the whole batch."""
+    half = -(-batch // 2)
+    return half if batch > 1 and count_flops(model_cfg, half)[0] >= SHARD_FLOPS else batch
+
+
+def _loss_and_grads(params, model_cfg, x, y, rows, weights, first: int) -> float | None:
+    """The loss on `rows` (features `x`) with its gradient in each
+    parameter's `.grad`, or None on divergence. With `first` below the
+    batch size, rows [:first] and [first:] run as two tapes over leaves of
+    their own, and the loss and gradients are their size-weighted sums. The
+    second tape runs on the tile pool when this runs on the main thread;
+    the results do not depend on where it runs. Every tape is unreachable
+    once this returns, so no two steps' graphs are ever alive together."""
+    n = rows.size
+    if first == n:
+        loss = _batch_loss(params, model_cfg, x, y, rows, weights)
+        if loss is None:
+            return None
+        for p in params.values():
+            p.grad = None
+        loss.backward()
+        return float(loss.item())
+
+    def shard(part: slice):
+        leaves = ad.alias_leaves(params)
+        loss = _batch_loss(leaves, model_cfg, x[part], y, rows[part], weights)
+        if loss is None:
+            return None
+        share = (part.stop - part.start) / n
+        loss.backward(share)
+        return share * loss.item(), leaves
+
+    halves = (slice(0, first), slice(first, n))
+    pool = _tile_pool() if threading.current_thread() is threading.main_thread() else None
+    if pool is None:
+        results = [shard(half) for half in halves]
+    else:
+        second = pool.submit(shard, halves[1])
+        try:
+            results = [shard(halves[0])]
+        finally:
+            wait((second,))  # the second tape reads the weights until it ends
+        results.append(second.result())
+    if None in results:
         return None
-    opt.zero_grad()
-    loss.backward()
-    opt.step()
-    return float(loss.item())
+    (loss0, leaves0), (loss1, leaves1) = results
+    for name, p in params.items():  # both tapes reach the same parameters
+        g0 = leaves0[name].grad
+        p.grad = None if g0 is None else g0 + leaves1[name].grad
+    return loss0 + loss1
 
 
 def _adamw_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch) -> None:
     """One seeded shuffled mini-batch pass per epoch."""
     opt = AdamW(params, cfg.lr, cfg.adamw)
     rng = np.random.default_rng(cfg.seed)
+    first_shard = cache(partial(_first_shard, model_cfg))
     n = x.shape[0]
     for epoch in range(1, cfg.max_epochs + 1):
         perm = rng.permutation(n)
         running = 0.0
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             rows = perm[start:start + cfg.batch_size]
-            loss = _adamw_step(opt, params, model_cfg, x[rows], y, rows, weights)
+            loss = _loss_and_grads(params, model_cfg, x[rows], y, rows, weights, first_shard(rows.size))
             if loss is None:
                 raise NanLossError(epoch, bi)
+            opt.step()
             running += loss * rows.size
         if end_epoch(epoch, running / n):
             return
@@ -401,17 +453,15 @@ def _lbfgs_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch)
     from scipy import optimize  # only L-BFGS fits pay for importing it
 
     rows = np.arange(x.shape[0])
+    first = _first_shard(model_cfg, rows.size)
     epochs = 0
 
     def closure(vec):
         ad.unflatten(params, vec)
-        for p in params.values():
-            p.grad = None
-        loss = _batch_loss(params, model_cfg, x, y, rows, weights)
+        loss = _loss_and_grads(params, model_cfg, x, y, rows, weights, first)
         if loss is None:
             raise _NonFiniteProbe
-        loss.backward()
-        return float(loss.item()), ad.flatten(grad_or_zero(p) for p in params.values())
+        return loss, ad.flatten(grad_or_zero(p) for p in params.values())
 
     def on_step(intermediate_result):
         nonlocal epochs

@@ -5,13 +5,17 @@ the benchmark reports the size of one training step's tape. A rename or a
 changed return shape would otherwise surface only in a benchmark run.
 """
 
+import dataclasses
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import tabnsa.autodiff
+import tabnsa.data
 import tabnsa.model
 import tabnsa.nsa_attention
 import tabnsa.tabmixer
@@ -130,3 +134,39 @@ def test_grad_mode_forward_is_one_untiled_pass():
         }, geometry
         assert calls["project_qkv"][0][0]["x"].shape[0] == 300
         assert tape_nodes(forward(x, params, config)) == tape_nodes(forward(x[:32], params, config)), geometry
+
+
+def test_a_sharded_fit_steps_once_per_batch_on_the_calling_thread(monkeypatch):
+    """perfbench counts steps and ends a timed repetition by wrapping
+    `training.AdamW.step`: a step of two half-batch tapes is still one call
+    there, made on the thread that called `fit`, and what that call raises
+    ends the fit."""
+    from test_training import make_split
+
+    config = default_config()
+    x, y = tabnsa.data.make_two_gaussians(120, config.num_tokens, seed=4)
+    split = make_split(x, y)  # 84 training rows: batches of 32, 32 and 20
+    steps = []
+    step = tabnsa.training.AdamW.step
+
+    def counting(opt):
+        steps.append(threading.get_ident())
+        step(opt)
+        if len(steps) == 5:
+            raise TimeoutError
+
+    monkeypatch.setattr(tabnsa.training, "SHARD_FLOPS", 0)
+    monkeypatch.setattr(tabnsa.model, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(tabnsa.model, "_TILE_POOL", None)
+    monkeypatch.setattr(tabnsa.training.AdamW, "step", counting)
+    params = init_model_params(config, 0)
+    cfg = tabnsa.training.TrainConfig(max_epochs=1, patience=1)
+    try:
+        tabnsa.training.fit(params, config, split, cfg)
+        assert steps == [threading.get_ident()] * 3
+        with pytest.raises(TimeoutError):
+            tabnsa.training.fit(params, config, split, dataclasses.replace(cfg, max_epochs=3, patience=3))
+        assert steps == [threading.get_ident()] * 5
+    finally:
+        if tabnsa.model._TILE_POOL is not None:
+            tabnsa.model._TILE_POOL.shutdown()

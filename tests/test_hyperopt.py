@@ -144,16 +144,23 @@ class TestRunSearch:
         assert best == records[0]
 
     def test_trials_reproducible_and_order_free(self, gaussian_split, monkeypatch):
-        best1, recs1 = run_search(gaussian_split, NARROW_SPACE, 4, seed=6, base_train=FAST_TRAIN)
-        monkeypatch.setenv(hyperopt.THREADS_ENV_VAR, "3")
-        best2, recs2 = run_search(gaussian_split, NARROW_SPACE, 4, seed=6, base_train=FAST_TRAIN)
-        assert [r.trial_id for r in recs1] == [0, 1, 2, 3]
-        for a, b in zip(recs1, recs2):
-            assert a.model == b.model
-            assert a.train == b.train
-            assert a.val_metric == b.val_metric
-            assert a.seed == b.seed
-        assert best1.trial_id == best2.trial_id
+        # the second pass puts every step in two half-batch tapes: a lone
+        # worker's trials run on this thread and, on more than one core, hand
+        # second shards to the tile pool, while three workers' trials run
+        # them inline
+        for shard_flops in (training.SHARD_FLOPS, 0):
+            monkeypatch.setattr(training, "SHARD_FLOPS", shard_flops)
+            monkeypatch.delenv(hyperopt.THREADS_ENV_VAR, raising=False)
+            best1, recs1 = run_search(gaussian_split, NARROW_SPACE, 4, seed=6, base_train=FAST_TRAIN)
+            monkeypatch.setenv(hyperopt.THREADS_ENV_VAR, "3")
+            best2, recs2 = run_search(gaussian_split, NARROW_SPACE, 4, seed=6, base_train=FAST_TRAIN)
+            assert [r.trial_id for r in recs1] == [0, 1, 2, 3]
+            for a, b in zip(recs1, recs2):
+                assert a.model == b.model
+                assert a.train == b.train
+                assert a.val_metric == b.val_metric
+                assert a.seed == b.seed
+            assert best1.trial_id == best2.trial_id
 
     @pytest.mark.parametrize("source, value", [("argument", 0), ("argument", -2), ("env", "0")])
     def test_non_positive_worker_count_fails_before_any_trial(self, source, value, gaussian_split, monkeypatch):

@@ -130,7 +130,7 @@ def leaf_constructors(source: str) -> set[str]:
 
 def test_trainable_leaves_come_from_make_leaves_or_a_checkpoint():
     found = {(path.stem, name) for path in SOURCES for name in leaf_constructors(path.read_text(encoding="utf-8"))}
-    assert found == {("autodiff", "make_leaves"), ("model", "load_checkpoint")}
+    assert found == {("autodiff", "make_leaves"), ("autodiff", "alias_leaves"), ("model", "load_checkpoint")}
 
 
 def test_leaf_finder_sees_nested_and_module_level_leaves():

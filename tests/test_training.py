@@ -11,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -419,20 +420,42 @@ class TestFitAdamW:
             fit(params, self.model_cfg, self.split, TrainConfig(batch_size=32, max_epochs=3, seed=3))
 
     @pytest.mark.parametrize("optimizer", ["adamw", "lbfgs"])
-    @pytest.mark.parametrize("case", ["caller_bug", "infinite_start"])
-    def test_only_non_finite_values_count_as_divergence(self, optimizer, case):
+    @pytest.mark.parametrize("case", ["caller_bug", "infinite_start", "second_shard"])
+    def test_only_non_finite_values_count_as_divergence(self, optimizer, case, monkeypatch):
         cfg = TrainConfig(optimizer=optimizer, batch_size=32, max_epochs=3, seed=3)
         if case == "caller_bug":
             # parameters of another model: forward's error propagates, it is not divergence
             other = dataclasses.replace(self.model_cfg, feature_id_embedding=False)
             with pytest.raises(ValueError, match="feature_id"):
                 fit(init_model_params(other, np.random.default_rng(10)), self.model_cfg, self.split, cfg)
-        else:
-            params = init_model_params(self.model_cfg, np.random.default_rng(10))
+            return
+        params = init_model_params(self.model_cfg, np.random.default_rng(10))
+        split = self.split
+        if case == "infinite_start":
             params["head.b2"].data[...] = np.inf
-            with pytest.raises(NanLossError, match=r"epoch 1, batch 0") as err:
-                fit(params, self.model_cfg, self.split, cfg)
-            assert (err.value.epoch, err.value.batch_index) == (1, 0)
+        else:
+            # every step in two half-batch tapes, and one finite feature whose
+            # logit overflows in the second half of the first batch only
+            monkeypatch.setattr(training, "SHARD_FLOPS", 0)
+            x, y = make_two_gaussians(80, 4, seed=6)  # the rows of self.split
+            n = split.train[0].values.shape[0]  # its training rows are the first n
+            batch = np.random.default_rng(cfg.seed).permutation(n)[:32] if optimizer == "adamw" else np.arange(n)
+            x[batch[-1], 0] = 1e300
+            split = make_split(x, y)
+            shards = []
+            real_loss = training._batch_loss
+
+            def batch_loss(*args):
+                loss = real_loss(*args)
+                shards.append(loss is not None)
+                return loss
+
+            monkeypatch.setattr(training, "_batch_loss", batch_loss)
+        with pytest.raises(NanLossError, match=r"epoch 1, batch 0") as err:
+            fit(params, self.model_cfg, split, cfg)
+        assert (err.value.epoch, err.value.batch_index) == (1, 0)
+        if case == "second_shard":
+            assert sorted(shards) == [False, True]  # the first shard's loss was finite
 
     def test_returned_weights_reproduce_best_val_loss(self):
         params, hist = self.run_fit(seed=11, max_epochs=12, patience=4)
@@ -974,3 +997,110 @@ class TestOneTapePerStep:
         assert done.returncode == 0, done.stderr
         first, second = map(int, done.stdout.split())
         assert second < 500, f"second fit took {second} minor faults (first {first})"
+
+
+class TestShardedStep:
+    """A step whose half batch reaches SHARD_FLOPS forward FLOPs runs as two
+    half-batch tapes over leaves of their own; their size-weighted sum is one
+    tape's loss and gradient up to rounding, wherever the shards run."""
+
+    @staticmethod
+    def batch(regression, rows, seed=21):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, 4))
+        if regression:
+            return x, LabelVector(rng.normal(size=rows), "regression"), None
+        labels = LabelVector(rng.integers(0, 2, rows), "classification", num_classes=2, class_names=["c0", "c1"])
+        return x, labels, np.array([0.7, 1.6])
+
+    @pytest.mark.parametrize("case", ["weighted_ce", "regression", "odd_batch"])
+    def test_two_half_tapes_match_one_tape(self, case, monkeypatch):
+        monkeypatch.setattr(training, "SHARD_FLOPS", 0)
+        regression = case == "regression"
+        cfg = tiny_model_config(regression=regression)
+        rows = 31 if case == "odd_batch" else 32
+        x, y, weights = self.batch(regression, rows)
+        params = init_model_params(cfg, 22)
+        first = training._first_shard(cfg, rows)
+        assert first == (rows + 1) // 2
+        runs = []
+        for shard in (rows, first):
+            loss = training._loss_and_grads(params, cfg, x, y, np.arange(rows), weights, shard)
+            runs.append((loss, ad.flatten(grad_or_zero(p) for p in params.values())))
+        (one_loss, one_grad), (two_loss, two_grad) = runs
+        assert two_loss == pytest.approx(one_loss, rel=1e-12, abs=0.0)
+        # scaled by the largest entry: a gradient that is zero in exact
+        # arithmetic (the key compressor's output bias, under a shift-invariant
+        # softmax) holds rounding noise on both paths
+        np.testing.assert_allclose(two_grad, one_grad, rtol=1e-12, atol=1e-12 * np.abs(one_grad).max())
+
+    def test_a_batch_of_one_never_shards(self, monkeypatch):
+        monkeypatch.setattr(training, "SHARD_FLOPS", 0)
+        cfg = tiny_model_config()
+        assert [training._first_shard(cfg, rows) for rows in (1, 2, 3)] == [1, 1, 2]
+
+    def test_default_geometry_steps_stay_one_tape_and_mid_ones_shard(self):
+        assert training._first_shard(benchmark_config(), 32) == 32
+        assert training._first_shard(benchmark_config(False, 4, 24, 8), 64) == 32
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_an_error_in_either_shard_propagates_after_both_finish(self, failing, monkeypatch):
+        monkeypatch.setattr(training, "SHARD_FLOPS", 0)
+        cfg = tiny_model_config()
+        x, y, weights = self.batch(False, 32)
+        params = init_model_params(cfg, 22)
+        finished = []
+        real_loss = training._batch_loss
+
+        def batch_loss(params, model_cfg, x, y, rows, weights):
+            shard = int(rows[0] != 0)
+            if shard == failing:
+                raise RuntimeError(f"shard {shard} failed")
+            time.sleep(0.2)  # still running when the other shard fails
+            loss = real_loss(params, model_cfg, x, y, rows, weights)
+            finished.append(shard)
+            return loss
+
+        monkeypatch.setattr(training, "_batch_loss", batch_loss)
+        with usable_cores(2):  # whose exit waits for the pool's tasks
+            with pytest.raises(RuntimeError, match=f"shard {failing} failed"):
+                training._loss_and_grads(params, cfg, x, y, np.arange(32), weights, 16)
+            assert finished == [1 - failing]
+
+    @pytest.mark.parametrize("optimizer", ["adamw", "lbfgs"])
+    def test_fit_bytes_depend_on_neither_cores_nor_thread(self, optimizer, monkeypatch):
+        monkeypatch.setattr(training, "SHARD_FLOPS", 0)
+        x, y = make_two_gaussians(80, 4, seed=6)
+        split = make_split(x, y)
+        cfg = tiny_model_config()
+        train_cfg = TrainConfig(optimizer=optimizer, lr=5e-3, batch_size=16, max_epochs=3, patience=3, seed=1)
+        threads = []  # the thread of every forward
+        real_forward = training.forward
+
+        def spy(*args, **kwargs):
+            threads.append(threading.current_thread().name)
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(training, "forward", spy)
+
+        def run(out):
+            params = init_model_params(cfg, 0)
+            _, hist = fit(params, cfg, split, train_cfg)
+            out.append((ad.flatten(p.data for p in params.values()).tobytes(), hist.to_jsonl()))
+
+        runs, pooled = {}, {}
+        for where in (1, 2, 3, "thread"):
+            threads.clear()
+            out = []
+            with usable_cores(2 if where == "thread" else where):
+                if where == "thread":
+                    worker = threading.Thread(target=run, args=(out,))
+                    worker.start()
+                    worker.join(timeout=120)
+                    assert not worker.is_alive()
+                else:
+                    run(out)
+            (runs[where],) = out
+            pooled[where] = any(name.startswith("tabnsa-tile") for name in threads)
+        assert pooled == {1: False, 2: True, 3: True, "thread": False}
+        assert all(r == runs[1] for r in runs.values())
