@@ -468,25 +468,35 @@ def gather_blocks(t, idx: np.ndarray) -> Tensor:
     return _node(data, (t,), vjp)
 
 
-def gather_selected(t, idx: np.ndarray) -> Tensor:
-    """Gather per-sample, per-query token positions, shared across heads.
+def gather_selected(t, blocks: np.ndarray, block_len: int) -> Tensor:
+    """Gather per-sample, per-query token blocks, shared across heads.
 
-    t: (B, H, N, Dh); idx: int array (B, T, S) of token positions in [0, N)
-    for each of T queries. Returns a C-contiguous (B, H, T, S, Dh) with
-    out[b,h,t,s] = t[b,h,idx[b,t,s]]: one `take` of Dh-wide rows at flat
-    offsets (b*H + h)*N + idx[b,t,s] of the contiguous (B*H*N, Dh) layout.
+    t: (B, H, N, Dh); blocks: int array (B, T, n) of block indices in
+    [0, ceil(N / L)) for each of T queries, block c covering tokens
+    [c*L, c*L + L) for L = block_len. Returns a C-contiguous
+    (B, H, T, n*L, Dh) with out[b,h,t,i*L + j] = t[b,h,blocks[b,t,i]*L + j],
+    zero where that token is past N: one `take` of L*Dh-wide rows from t
+    zero-padded to whole blocks. The VJP is a one-hot over blocks, so its
+    size does not grow with L.
     """
     t = _ensure(t)
-    idx = np.asarray(idx, dtype=np.intp)
+    blocks = np.asarray(blocks, dtype=np.intp)
     B, H, N, Dh = t.data.shape
-    _, T, S = idx.shape
-    offsets = (np.arange(B)[:, None] * H + np.arange(H)) * N  # (B, H)
-    rows = np.ascontiguousarray(t.data).reshape(B * H * N, Dh)
-    data = rows.take(offsets[:, :, None, None] + idx[:, None], axis=0)
+    _, T, n = blocks.shape
+    n_blk = -(-N // block_len)
+    if n_blk * block_len == N:
+        padded = np.ascontiguousarray(t.data)
+    else:
+        padded = np.zeros((B, H, n_blk * block_len, Dh))
+        padded[:, :, :N] = t.data
+    rows = padded.reshape(B * H * n_blk, block_len * Dh)
+    offsets = (np.arange(B)[:, None] * H + np.arange(H)) * n_blk  # (B, H)
+    data = rows.take(offsets[:, :, None, None] + blocks[:, None], axis=0).reshape(B, H, T, n * block_len, Dh)
 
     def vjp(g):
-        onehot = (np.arange(N)[:, None] == idx.reshape(B, 1, 1, T * S)).astype(np.float64)  # (B, 1, N, T*S)
-        return (onehot @ g.reshape(B, H, T * S, Dh),)
+        onehot = (np.arange(n_blk)[:, None] == blocks.reshape(B, 1, 1, T * n)).astype(np.float64)  # (B, 1, n_blk, T*n)
+        g_blocks = onehot @ g.reshape(B, H, T * n, block_len * Dh)
+        return (g_blocks.reshape(B, H, n_blk * block_len, Dh)[:, :, :N],)
 
     return _node(data, (t,), vjp)
 

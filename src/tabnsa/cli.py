@@ -568,8 +568,10 @@ def cmd_flops(args: argparse.Namespace) -> int:
         "flops_breakdown": breakdown,
     }
     if args.compare_dense:
-        payload["dense_attention_computation"] = dense_attention_flops(model_cfg, batch_size=1)
-        payload["sparse_attention_computation"] = breakdown["attention_computation"]
+        payload["dense_attention_flops"] = dense_attention_flops(model_cfg, batch_size=1)
+        branches = ("compression_phi", "attention_compression", "selection_scoring", "attention_selection",
+                    "attention_window")
+        payload["sparse_branches_flops"] = sum(breakdown[k] for k in branches)
     if args.out:
         _write_json(_artifact(args.out, "flops.json"), payload)
     _print_json(payload)

@@ -249,7 +249,7 @@ def _forward(x: np.ndarray, params: dict, config: ModelConfig) -> Tensor:
     t = embed_features(x, params)
     for i in range(config.num_blocks):
         block = _subview(params, f"blocks.{i}.")
-        y = nsa_forward(t, _subview(block, "nsa."), config.nsa).output
+        y = nsa_forward(t, _subview(block, "nsa."), config.nsa)
         if config.fusion == "r":
             t = fuse(y, None, "r", block)
         else:
@@ -279,10 +279,8 @@ def _softmax_attention_flops(b: int, h: int, n: int, s: int, dh: int) -> int:
 def count_flops(config: ModelConfig, batch_size: int) -> tuple[int, dict[str, int]]:
     """Forward-pass FLOPs under the module's documented conventions.
 
-    Returns (total, breakdown). Breakdown keys are per-site components;
-    "attention_computation" is a rollup of attention_selection +
-    attention_window (the per-query sparse attention work) and is not part
-    of the total. Per-block components are summed over all blocks.
+    Returns (total, breakdown): the total is the sum of the breakdown's
+    per-site components, each summed over all blocks.
     """
     nsa = config.nsa
     b = int(batch_size)
@@ -341,15 +339,14 @@ def count_flops(config: ModelConfig, batch_size: int) -> tuple[int, dict[str, in
     hid, c_out = config.hidden_head, config.output_dim
     comp["head"] = mac * b * d * hid + b * hid + act * b * hid + mac * b * hid * c_out + b * c_out
 
-    total = sum(comp.values())
-    comp["attention_computation"] = comp["attention_selection"] + comp["attention_window"]
-    return total, comp
+    return sum(comp.values()), comp
 
 
 def dense_attention_flops(config: ModelConfig, batch_size: int) -> int:
     """Cost of full attention over all N keys per query, same conventions,
-    summed over blocks. Comparison baseline for the sparse
-    attention_computation rollup."""
+    summed over blocks: the baseline for the sparse branches' components of
+    `count_flops`, compression (phi included), selection (scoring included)
+    and window."""
     nsa, n = config.nsa, config.num_tokens
     return config.num_blocks * _softmax_attention_flops(int(batch_size), nsa.heads, n, n, nsa.head_dim)
 

@@ -2,7 +2,9 @@
 
 Three branches per query: compressed-block attention, top-n selected-block
 attention, and a sliding window, combined by per-token sigmoid gates and an
-output projection. Features are unordered, so the default is non-causal:
+output projection. `nsa_forward` returns the layer's output alone; the
+selected blocks, gates and branch weights are what its stage functions
+return. Features are unordered, so the default is non-causal:
 every query sees all N tokens. causal=True keeps the prefix-masked variant
 for fidelity tests.
 
@@ -13,7 +15,7 @@ Gate order convention everywhere: index 0 = compression, 1 = selection,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -71,16 +73,6 @@ class NSAConfig:
     def effective_selected(self, n_tokens: int) -> int:
         """Blocks each query selects: num_selected, clamped to the blocks there are."""
         return min(self.num_selected, self.n_select_blocks(n_tokens))
-
-
-@dataclass
-class AttentionOutput:
-    output: Tensor  # (B, N, D)
-    branch_outputs: tuple  # (cmp, slc, win), each (B, N, D) before gating
-    gates: Tensor  # (B, N, 3) in [0, 1]
-    selected: np.ndarray  # (B, 1, N, n) chosen selection-block indices
-    attn_weights: dict = field(default_factory=dict)  # branch -> np array
-    attn_valid: dict = field(default_factory=dict)  # branch -> bool rows with a visible key
 
 
 def nsa_param_specs(cfg: NSAConfig) -> dict[str, tuple]:
@@ -207,7 +199,9 @@ def select_blocks(
     Scores are head-averaged first so all heads share one index set; ties
     break toward the lower block index; chosen blocks are gathered in
     ascending order so token order is preserved. Returns
-    (indices (B,1,N,n), k_slc, v_slc (B,H,N,n*l',Dh), token positions, token validity).
+    (indices (B,1,N,n), k_slc, v_slc (B,H,N,n*l',Dh), token positions
+    (B,N,n*l'), token validity): a padded tail block's positions run past
+    N, where the gathered slots are zeros and invalid.
     When every query selects every block and nothing is masked, each sees
     all N tokens in order, so this returns (all indices, k, v, None, None)
     and the branch is full attention over the shared keys.
@@ -228,12 +222,9 @@ def select_blocks(
     valid = tok < n_tokens
     if cfg.causal:
         valid &= tok <= np.arange(n_q)[None, :, None]
-    # the padded tail block's positions past N are masked out above; the
-    # clip keeps every index the gathers see in [0, N)
-    tok_safe = np.clip(tok, 0, n_tokens - 1)
-    k_slc = ad.gather_selected(k, tok_safe)
-    v_slc = ad.gather_selected(v, tok_safe)
-    return blocks[:, None, :, :], k_slc, v_slc, tok_safe, valid
+    k_slc = ad.gather_selected(k, blocks, lp)
+    v_slc = ad.gather_selected(v, blocks, lp)
+    return blocks[:, None, :, :], k_slc, v_slc, tok, valid
 
 
 @lru_cache(maxsize=256)
@@ -275,7 +266,8 @@ def gated_combine(branches: tuple, params: dict, x: Tensor):
     return ad.linear(combined, params["w_o"], params["b_o"]), gates
 
 
-def nsa_forward(x: Tensor, params: dict, cfg: NSAConfig) -> AttentionOutput:
+def nsa_forward(x: Tensor, params: dict, cfg: NSAConfig) -> Tensor:
+    """(B, N, D) tokens -> the layer's (B, N, D) output."""
     b, n, _ = x.shape
     q, k, v = project_qkv(x, params, cfg)
 
@@ -299,34 +291,16 @@ def nsa_forward(x: Tensor, params: dict, cfg: NSAConfig) -> AttentionOutput:
         n_slc = cfg.n_select_blocks(n)
         block_visible = (np.arange(n_slc) * cfg.select_block)[None, None, :] <= np.arange(n)[None, :, None]
         block_visible = np.broadcast_to(block_visible, (b, n, n_slc))
-    selected, k_slc, v_slc, _, tok_valid = select_blocks(p_slc, k, v, cfg, block_visible)
+    _, k_slc, v_slc, _, tok_valid = select_blocks(p_slc, k, v, cfg, block_visible)
     slc_mask = None if tok_valid is None else tok_valid[:, None, :, :]
-    slc_out, slc_att = _per_query_attention(q, k_slc, v_slc, slc_mask)
+    slc_out, _ = _per_query_attention(q, k_slc, v_slc, slc_mask)
     del k_slc, v_slc  # without a tape this frees them before the window gathers
 
     # sliding-window branch
     win_idx, win_valid = window_indices(n, cfg.window, cfg.causal)
     win_mask = None if win_valid.all() else win_valid[None, None, :, :]
-    win_out, win_att = _per_query_attention(q, ad.gather_blocks(k, win_idx), ad.gather_blocks(v, win_idx), win_mask)
+    win_out, _ = _per_query_attention(q, ad.gather_blocks(k, win_idx), ad.gather_blocks(v, win_idx), win_mask)
 
     branches = (ad.merge_heads(cmp_out), ad.merge_heads(slc_out), ad.merge_heads(win_out))
-    output, gates = gated_combine(branches, params, x)
-
-    def rows_valid(mask, shape):
-        if mask is None:
-            return np.ones(shape, dtype=bool)
-        return np.broadcast_to(mask.any(axis=-1), shape)
-
-    h = cfg.heads
-    return AttentionOutput(
-        output=output,
-        branch_outputs=branches,
-        gates=gates,
-        selected=selected,
-        attn_weights={"cmp": p_cmp.data, "slc": slc_att, "win": win_att},
-        attn_valid={
-            "cmp": rows_valid(None if cmp_valid is None else cmp_valid[None, None, :, :], (b, h, n)),
-            "slc": rows_valid(slc_mask, (b, h, n)),
-            "win": rows_valid(win_mask, (b, h, n)),
-        },
-    )
+    output, _ = gated_combine(branches, params, x)
+    return output

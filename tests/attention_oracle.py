@@ -32,15 +32,14 @@ def full_attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False) -> Ten
 
 def gathered_select_all(p_slc: np.ndarray, k: Tensor, v: Tensor, cfg: NSAConfig, block_visible=None):
     """`select_blocks` with every query that selects every selection block
-    taken the gathered way: each query gathers all n*l' slots with
-    `gather_selected`, and the padded tail block's slots past N are clipped
-    and masked. Any other selection is `select_blocks`' own gathered path."""
+    taken the gathered way: each query gathers all n_slc blocks with
+    `gather_selected`, and the padded tail block's slots past N are masked.
+    Any other selection is `select_blocks`' own gathered path."""
     b, _, n_q, n_slc = p_slc.shape
     n = k.shape[2]
     if cfg.effective_selected(n) < n_slc or block_visible is not None or cfg.causal:
         return select_blocks(p_slc, k, v, cfg, block_visible)
-    slots = np.arange(n_slc * cfg.select_block)
-    tok = np.broadcast_to(np.minimum(slots, n - 1), (b, n_q, slots.size))
-    valid = np.broadcast_to(slots < n, tok.shape)
-    blocks = np.broadcast_to(np.arange(n_slc), (b, 1, n_q, n_slc))
-    return blocks, ad.gather_selected(k, tok), ad.gather_selected(v, tok), tok, valid
+    blocks = np.broadcast_to(np.arange(n_slc), (b, n_q, n_slc))
+    tok = np.broadcast_to(np.arange(n_slc * cfg.select_block), (b, n_q, n_slc * cfg.select_block))
+    k_slc, v_slc = (ad.gather_selected(t, blocks, cfg.select_block) for t in (k, v))
+    return blocks[:, None], k_slc, v_slc, tok, tok < n

@@ -1,5 +1,7 @@
 """Unit tests for the autodiff engine: every primitive against central differences."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -220,22 +222,31 @@ class TestIndexing:
 
     def test_gather_selected_forward_and_grad(self):
         t = RNG.normal(size=(2, 3, 5, 2))
-        idx = np.array([[[4, 0, 0], [1, 1, 2]], [[1, 2, 3], [0, 4, 4]]])  # (B=2, T=2, S=3)
-        out = ad.gather_selected(Tensor(t), idx).numpy()
-        assert out.shape == (2, 3, 2, 3, 2)
+        blocks = np.array([[[2, 0], [0, 1]], [[1, 2], [0, 2]]])  # (B=2, T=2, 2 blocks of 2); block 2 holds token 4
+        out = ad.gather_selected(Tensor(t), blocks, 2).numpy()
+        assert out.shape == (2, 3, 2, 4, 2)
         npt.assert_array_equal(out[0, 1, 0, 0], t[0, 1, 4])
+        npt.assert_array_equal(out[0, 1, 0, 1], 0.0)  # token 5 is past N
         npt.assert_array_equal(out[1, 2, 1, 2], t[1, 2, 4])
-        check_grad(lambda x: square(ad.gather_selected(x, idx)).sum(), t)
+        check_grad(lambda x: square(ad.gather_selected(x, blocks, 2)).sum(), t)
 
 
-def gather_selected_loop(t, idx):
-    b, h = t.shape[:2]
-    out = np.empty((b, h) + idx.shape[1:] + t.shape[3:])
+def selected_tokens(blocks, block_len, n):
+    """(B, T, n*L) token positions of `blocks` and whether each is below n."""
+    tok = (blocks[..., None] * block_len + np.arange(block_len)).reshape(*blocks.shape[:2], -1)
+    return tok, tok < n
+
+
+def gather_selected_loop(t, blocks, block_len):
+    b, h, n = t.shape[:3]
+    tok, keep = selected_tokens(blocks, block_len, n)
+    out = np.zeros((b, h) + tok.shape[1:] + t.shape[3:])
     for bi in range(b):
         for hi in range(h):
-            for ti in range(idx.shape[1]):
-                for si in range(idx.shape[2]):
-                    out[bi, hi, ti, si] = t[bi, hi, idx[bi, ti, si]]
+            for ti in range(tok.shape[1]):
+                for si in range(tok.shape[2]):
+                    if keep[bi, ti, si]:
+                        out[bi, hi, ti, si] = t[bi, hi, tok[bi, ti, si]]
     return out
 
 
@@ -245,41 +256,64 @@ def scatter_add_at(shape, index, g):
     return out
 
 
+def scatter_selected(shape, blocks, block_len, g):
+    """The `np.add.at` form of `gather_selected`'s VJP: slots past N take no gradient."""
+    b, h, n = shape[:3]
+    tok, keep = selected_tokens(blocks, block_len, n)
+    index = (np.arange(b)[:, None, None, None], np.arange(h)[None, :, None, None], np.where(keep, tok, 0)[:, None])
+    return scatter_add_at(shape, index, g * keep[:, None, :, :, None])
+
+
 class TestGatherExactness:
     @pytest.mark.parametrize("b,h,n,t,s,dh", [(1, 1, 5, 2, 3, 2), (1, 3, 7, 4, 6, 3), (4, 2, 15, 15, 4, 5)])
     def test_gather_selected_forward_matches_loop(self, b, h, n, t, s, dh):
         x = RNG.normal(size=(b, h, n, dh))
-        idx = RNG.integers(0, n, size=(b, t, s))
-        expect = gather_selected_loop(x, idx)
-        npt.assert_array_equal(ad.gather_selected(Tensor(x), idx).numpy(), expect)
+        blocks = RNG.integers(0, -(-n // 2), size=(b, t, s))  # s blocks of 2 per query; n is odd
+        expect = gather_selected_loop(x, blocks, 2)
+        npt.assert_array_equal(ad.gather_selected(Tensor(x), blocks, 2).numpy(), expect)
         with ad.no_grad():
-            npt.assert_array_equal(ad.gather_selected(Tensor(x, requires_grad=True), idx).numpy(), expect)
+            npt.assert_array_equal(ad.gather_selected(Tensor(x, requires_grad=True), blocks, 2).numpy(), expect)
 
     def test_gather_selected_vjp_matches_add_at(self):
         b, h, n, dh = 3, 2, 9, 4
         x = Tensor(RNG.normal(size=(b, h, n, dh)), requires_grad=True)
         blocks = RNG.integers(0, 5, size=(b, n, 2))
-        idx = np.clip(blocks[..., None] * 2 + np.arange(2), 0, n - 1).reshape(b, n, 4)  # clipped tails repeat n-1
-        out = ad.gather_selected(x, idx)
+        assert (blocks == 4).any()  # the tail block: token 8 and a padding slot
+        out = ad.gather_selected(x, blocks, 2)
         g = RNG.normal(size=out.shape)
         out.backward(g)
-        index = (np.arange(b)[:, None, None, None], np.arange(h)[None, :, None, None], idx[:, None])
-        npt.assert_allclose(x.grad, scatter_add_at(x.shape, index, g), rtol=1e-13)
+        npt.assert_allclose(x.grad, scatter_selected(x.shape, blocks, 2, g), rtol=1e-13)
+
+    def test_gather_selected_backward_memory_does_not_grow_with_token_count_squared(self):
+        # one block-selection backward at 256 tokens, blocks of 16, 2 blocks per query
+        b, h, n, dh, lp = 2, 2, 256, 8, 16
+        x = Tensor(RNG.normal(size=(b, h, n, dh)), requires_grad=True)
+        blocks = np.sort(RNG.integers(0, n // lp, size=(b, n, 2)), axis=-1)
+        out = ad.gather_selected(x, blocks, lp)
+        g = RNG.normal(size=out.shape)
+        tracemalloc.start()
+        try:
+            out.backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        npt.assert_allclose(x.grad, scatter_selected(x.shape, blocks, lp, g), rtol=0, atol=1e-12)
+        # a one-hot over tokens, (B, 1, N, N*n*l'), would take 33.5 MB here
+        assert peak <= 4 * x.grad.nbytes, (peak, x.grad.nbytes)
 
     @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "swapaxes_view"])
     def test_gathers_return_contiguous_copies(self, strided):
         b, h, n, dh = 3, 2, 7, 4
         x = RNG.normal(size=(b, n, h, dh)).swapaxes(1, 2) if strided else RNG.normal(size=(b, h, n, dh))
         assert x.flags.c_contiguous != strided
-        idx = RNG.integers(0, n, size=(b, n, 4))
+        blocks = RNG.integers(0, 4, size=(b, n, 2))
         leaf = Tensor(x, requires_grad=True)
-        sel = ad.gather_selected(leaf, idx)
+        sel = ad.gather_selected(leaf, blocks, 2)
         assert sel.data.flags.c_contiguous
-        npt.assert_array_equal(sel.data, gather_selected_loop(x, idx))
+        npt.assert_array_equal(sel.data, gather_selected_loop(x, blocks, 2))
         g = RNG.normal(size=sel.shape)
         sel.backward(g)
-        index = (np.arange(b)[:, None, None, None], np.arange(h)[None, :, None, None], idx[:, None])
-        npt.assert_allclose(leaf.grad, scatter_add_at(x.shape, index, g), rtol=1e-13)
+        npt.assert_allclose(leaf.grad, scatter_selected(x.shape, blocks, 2, g), rtol=1e-13)
         win = np.minimum(np.arange(n)[:, None] + np.arange(3), n - 1)
         blocks = ad.gather_blocks(Tensor(x), win).numpy()
         assert blocks.flags.c_contiguous
@@ -307,24 +341,25 @@ def reference_attention(q, keys, values, valid):
 
 
 class TestFusedNodes:
-    # 5 tokens in selection blocks of 2: the tail block [4, 6) is clipped to token 4 and masked
+    # 5 tokens in selection blocks of 2: the tail block [4, 6) pads token 5, which is masked
     BLOCKS = np.array([[[0, 2], [1, 2], [0, 1]], [[2, 0], [1, 0], [2, 1]]])  # (B=2, T=3, 2 blocks)
-    TOK = (BLOCKS[..., None] * 2 + np.arange(2)).reshape(2, 3, 4)
-    TAIL_VALID = (TOK < 5)[:, None]
-    TAIL_IDX = np.minimum(TOK, 4)
+    TAIL_VALID = selected_tokens(BLOCKS, 2, 5)[1][:, None]
 
     def test_attend_selection_tail(self):
         q, k, v = RNG.normal(size=(2, 2, 3, 3)), RNG.normal(size=(2, 2, 5, 3)), RNG.normal(size=(2, 2, 5, 3))
         w = RNG.normal(size=(2, 2, 3, 3))
-        idx, valid = self.TAIL_IDX, self.TAIL_VALID
+        blocks, valid = self.BLOCKS, self.TAIL_VALID
         assert not valid.all() and valid.any(axis=-1).all()
 
         def loss(qt, kt, vt):
-            out, _ = ad.attend(qt, ad.gather_selected(kt, idx), ad.gather_selected(vt, idx), valid)
+            out, _ = ad.attend(qt, ad.gather_selected(kt, blocks, 2), ad.gather_selected(vt, blocks, 2), valid)
             return (out * Tensor(w)).sum()
 
-        out, weights = ad.attend(Tensor(q), ad.gather_selected(Tensor(k), idx), ad.gather_selected(Tensor(v), idx), valid)
-        ref_out, ref_p = reference_attention(q, gather_selected_loop(k, idx), gather_selected_loop(v, idx), valid)
+        out, weights = ad.attend(
+            Tensor(q), ad.gather_selected(Tensor(k), blocks, 2), ad.gather_selected(Tensor(v), blocks, 2), valid
+        )
+        ref_keys, ref_values = gather_selected_loop(k, blocks, 2), gather_selected_loop(v, blocks, 2)
+        ref_out, ref_p = reference_attention(q, ref_keys, ref_values, valid)
         npt.assert_allclose(out.numpy(), ref_out, atol=1e-14)
         npt.assert_allclose(weights, ref_p, atol=1e-15)
         assert np.all(weights[np.broadcast_to(~valid, weights.shape)] == 0.0)

@@ -6,6 +6,7 @@ import csv
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from tabnsa.cli import (
 )
 from tabnsa.data import write_two_gaussians_csv
 from tabnsa.hyperopt import THREADS_ENV_VAR
-from tabnsa.model import load_checkpoint
+from tabnsa.model import count_flops, dense_attention_flops, load_checkpoint
 from tabnsa.nsa_attention import NSAConfig
 
 
@@ -537,7 +538,6 @@ class TestAblateCommand:
 
 FLOPS_KEYS = [
     "attention_compression",
-    "attention_computation",
     "attention_selection",
     "attention_window",
     "branch_combine",
@@ -570,12 +570,28 @@ class TestFlopsCommand:
         assert sorted(payload["flops_breakdown"]) == FLOPS_KEYS
         assert set(payload) == {"batch_size", "num_tokens", "param_count", "flops_total", "flops_breakdown"}
 
-    def test_compare_dense_shows_sparse_win(self, tmp_path, capsys):
-        # N=16 exceeds window + num_selected * select_block = 3 + 4
-        assert main(["flops", "--config", self.write_cfg(tmp_path), "--compare-dense"]) == 0
+    def test_compare_dense_prints_the_sparse_branches_beside_dense_attention(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path)
+        assert main(["flops", "--config", path, "--compare-dense"]) == 0
         payload = json.loads(capsys.readouterr().out.strip())
-        assert payload["sparse_attention_computation"] < payload["dense_attention_computation"]
-        assert payload["sparse_attention_computation"] == payload["flops_breakdown"]["attention_computation"]
+        model_cfg = build_model_config(load_config(path), None)
+        total, breakdown = count_flops(model_cfg, 1)
+        branches = ("compression_phi", "attention_compression", "selection_scoring", "attention_selection",
+                    "attention_window")
+        assert (payload["flops_total"], payload["flops_breakdown"]) == (total, breakdown)
+        assert payload["sparse_branches_flops"] == sum(breakdown[k] for k in branches)
+        assert payload["dense_attention_flops"] == dense_attention_flops(model_cfg, 1)
+
+    def test_readme_compare_dense_table_is_what_the_command_prints(self, tmp_path, capsys):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8").read()
+        rows = re.findall(r"^\| (\d+) \| ([\d,]+) \| ([\d,]+) \| ([\d.]+) \|$", readme, re.MULTILINE)
+        assert [row[0] for row in rows] == ["15", "64", "256"]
+        for n, sparse, dense, ratio in rows:
+            assert main(["flops", "--config", self.write_cfg(tmp_path, int(n)), "--compare-dense"]) == 0
+            payload = json.loads(capsys.readouterr().out.strip())
+            printed = (payload["sparse_branches_flops"], payload["dense_attention_flops"])
+            assert printed == (int(sparse.replace(",", "")), int(dense.replace(",", ""))), n
+            assert f"{printed[0] / printed[1]:.1f}" == ratio, n
 
     def test_out_dir_writes_json(self, tmp_path, capsys):
         out = str(tmp_path / "f")

@@ -234,7 +234,7 @@ class TestForward:
         t = embed_features(x, params)
         for i in range(2):
             block = sub(params, f"blocks.{i}.")
-            y = nsa_forward(t, sub(block, "nsa."), cfg.nsa).output
+            y = nsa_forward(t, sub(block, "nsa."), cfg.nsa)
             z = tabmixer_forward(t, sub(block, "mixer."))
             t = fuse(y, z, "m", block)
         hidden = ad.gelu(mean_pool(t) @ params["head.w1"] + params["head.b1"])
@@ -250,7 +250,7 @@ class TestForward:
         x = np.random.default_rng(14).normal(size=(4, 8))
         t = embed_features(x, params)
         for i in range(2):
-            t = nsa_forward(t, sub(params, f"blocks.{i}.nsa."), cfg.nsa).output + t
+            t = nsa_forward(t, sub(params, f"blocks.{i}.nsa."), cfg.nsa) + t
         hidden = ad.gelu(mean_pool(t) @ params["head.w1"] + params["head.b1"])
         ref = hidden @ params["head.w2"] + params["head.b2"]
         assert np.array_equal(forward(x, params, cfg).data, ref.data)
@@ -392,26 +392,21 @@ class TestFlops:
             oracle_logits, meter = instrumented_forward(x, arrays, cfg)
             real = forward(x, params, cfg).data
         total, breakdown = count_flops(cfg, batch)
-        base = {k: v for k, v in breakdown.items() if k != "attention_computation"}
         assert total == meter.total
-        for key, value in base.items():
+        for key, value in breakdown.items():
             assert value == meter.by_component.get(key, 0), key
-        assert set(meter.by_component) <= set(base)
+        assert set(meter.by_component) <= set(breakdown)
         assert np.allclose(real, oracle_logits, atol=1e-9)
 
-    def test_rollup_and_total_consistency(self):
+    def test_total_is_the_breakdown_sum(self):
         total, breakdown = count_flops(mk_config(num_blocks=2, fusion="c"), 4)
-        base = {k: v for k, v in breakdown.items() if k != "attention_computation"}
-        assert total == sum(base.values())
-        expected = breakdown["attention_selection"] + breakdown["attention_window"]
-        assert breakdown["attention_computation"] == expected
+        assert total == sum(breakdown.values())
 
     def test_attention_flops_double_with_token_count(self):
         _, b1 = count_flops(mk_config(n_tokens=8), 2)
         _, b2 = count_flops(mk_config(n_tokens=16), 2)
         assert b2["attention_window"] == 2 * b1["attention_window"]
         assert b2["attention_selection"] == 2 * b1["attention_selection"]
-        assert b2["attention_computation"] == 2 * b1["attention_computation"]
 
     def test_linear_in_batch(self):
         t1, _ = count_flops(mk_config(fusion="m"), 1)
@@ -424,7 +419,7 @@ class TestFlops:
         visible = cfg.nsa.window + cfg.nsa.num_selected * cfg.nsa.select_block
         assert n_tokens > visible
         _, breakdown = count_flops(cfg, 3)
-        assert breakdown["attention_computation"] < dense_attention_flops(cfg, 3)
+        assert breakdown["attention_selection"] + breakdown["attention_window"] < dense_attention_flops(cfg, 3)
 
 
 class TestCheckpoint:

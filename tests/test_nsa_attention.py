@@ -1,5 +1,6 @@
 """Sparse-attention tests: branch oracles, worked examples, invariants, gradients."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -49,6 +50,28 @@ def pinned_gate_params(params, branch):
     logits[branch] = 1000.0
     params["gate_b"].data[:] = logits
     return params
+
+
+@pytest.fixture
+def stages(monkeypatch):
+    """Stage function name -> [(bound arguments, result), ...], one entry per
+    call `nsa_forward` makes, in call order."""
+    calls = {}
+    for name in ("compression_scores", "select_blocks", "_per_query_attention", "gated_combine"):
+        fn, record = getattr(nsa, name), calls.setdefault(name, [])
+
+        def recording(*args, _fn=fn, _record=record, **kwargs):
+            result = _fn(*args, **kwargs)
+            _record.append((inspect.signature(_fn).bind(*args, **kwargs).arguments, result))
+            return result
+
+        monkeypatch.setattr(nsa, name, recording)
+    return calls
+
+
+def rows_valid(valid, shape):
+    """Rows of a (B, H, N, S) weight array with a key in `valid`, or all rows."""
+    return np.ones(shape, dtype=bool) if valid is None else np.broadcast_to(valid.any(axis=-1), shape)
 
 
 class TestConfig:
@@ -394,7 +417,7 @@ class TestNsaForward:
         )
         params = pinned_gate_params(nsa.init_nsa_params(cfg, np.random.default_rng(5)), branch=2)
         x = Tensor(np.random.default_rng(6).normal(size=(3, n, 8)))
-        got = nsa.nsa_forward(x, params, cfg).output.numpy()
+        got = nsa.nsa_forward(x, params, cfg).numpy()
         q, k, v = nsa.project_qkv(x, params, cfg)
         dense = full_attention(q, k, v, causal=causal)
         b, h, nn, dh = dense.shape
@@ -402,43 +425,48 @@ class TestNsaForward:
         expected = (merged @ params["w_o"] + params["b_o"]).numpy()
         npt.assert_allclose(got, expected, atol=1e-6)
 
-    def test_row_stochastic_attention_weights(self):
+    def test_row_stochastic_attention_weights(self, stages):
         cfg = small_cfg(causal=True)
         params = nsa.init_nsa_params(cfg, RNG)
         x = Tensor(RNG.normal(size=(2, 9, 8)))
-        out = nsa.nsa_forward(x, params, cfg)
-        for branch, w in out.attn_weights.items():
+        nsa.nsa_forward(x, params, cfg)
+        (cmp_args, p_cmp), = stages["compression_scores"]
+        weights = {"cmp": (p_cmp.numpy(), cmp_args["valid"])}
+        for branch, (args, (_, w)) in zip(("slc", "win"), stages["_per_query_attention"]):
+            weights[branch] = (w, args["valid"])
+        for branch, (w, valid) in weights.items():
             sums = w.sum(axis=-1)
-            valid = out.attn_valid[branch]
-            npt.assert_allclose(sums[valid], 1.0, atol=1e-6, err_msg=branch)
-            npt.assert_allclose(sums[~valid], 0.0, atol=1e-12, err_msg=branch)
+            rows = rows_valid(valid, sums.shape)
+            npt.assert_allclose(sums[rows], 1.0, atol=1e-6, err_msg=branch)
+            npt.assert_allclose(sums[~rows], 0.0, atol=1e-12, err_msg=branch)
 
     def test_batch_independence(self):
         cfg = small_cfg()
         params = nsa.init_nsa_params(cfg, RNG)
         x = RNG.normal(size=(4, 7, 8))
         perm = np.array([2, 0, 3, 1])
-        base = nsa.nsa_forward(Tensor(x), params, cfg).output.numpy()
-        permuted = nsa.nsa_forward(Tensor(x[perm]), params, cfg).output.numpy()
+        base = nsa.nsa_forward(Tensor(x), params, cfg).numpy()
+        permuted = nsa.nsa_forward(Tensor(x[perm]), params, cfg).numpy()
         npt.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_empty_batch(self):
         cfg = small_cfg()
         params = nsa.init_nsa_params(cfg, RNG)
         out = nsa.nsa_forward(Tensor(np.zeros((0, 7, 8))), params, cfg)
-        assert out.output.shape == (0, 7, 8)
+        assert out.shape == (0, 7, 8)
 
-    def test_output_composition_invariant(self):
+    def test_output_composition_invariant(self, stages):
         cfg = small_cfg()
         params = nsa.init_nsa_params(cfg, RNG)
         x = Tensor(RNG.normal(size=(2, 7, 8)))
         out = nsa.nsa_forward(x, params, cfg)
-        g = out.gates.numpy()
-        combo = sum(g[:, :, c : c + 1] * out.branch_outputs[c].numpy() for c in range(3))
+        (args, (_, gates)), = stages["gated_combine"]
+        g = gates.numpy()
+        combo = sum(g[:, :, c : c + 1] * args["branches"][c].numpy() for c in range(3))
         expected = combo @ params["w_o"].numpy() + params["b_o"].numpy()
-        npt.assert_allclose(out.output.numpy(), expected, atol=1e-12)
+        npt.assert_allclose(out.numpy(), expected, atol=1e-12)
 
-    def test_growing_selection_never_shrinks_visible_set(self):
+    def test_growing_selection_never_shrinks_visible_set(self, stages):
         for n_sel in (1, 2, 3):
             cfg1 = small_cfg(num_selected=n_sel)
             cfg2 = small_cfg(num_selected=n_sel + 1)
@@ -446,20 +474,21 @@ class TestNsaForward:
             x = Tensor(np.random.default_rng(4).normal(size=(2, 9, 8)))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                o1 = nsa.nsa_forward(x, params, cfg1)
-                o2 = nsa.nsa_forward(x, params, cfg2)
+                nsa.nsa_forward(x, params, cfg1)
+                nsa.nsa_forward(x, params, cfg2)
+            (_, (sel1, *_)), (_, (sel2, *_)) = stages["select_blocks"][-2:]
             for b in range(2):
                 for t in range(9):
-                    s1 = set(o1.selected[b, 0, t].tolist())
-                    s2 = set(o2.selected[b, 0, t].tolist())
+                    s1 = set(sel1[b, 0, t].tolist())
+                    s2 = set(sel2[b, 0, t].tolist())
                     assert s1 <= s2
 
     def test_deterministic(self):
         cfg = small_cfg()
         params = nsa.init_nsa_params(cfg, np.random.default_rng(0))
         x = Tensor(np.random.default_rng(1).normal(size=(2, 7, 8)))
-        a = nsa.nsa_forward(x, params, cfg).output.numpy()
-        b = nsa.nsa_forward(x, params, cfg).output.numpy()
+        a = nsa.nsa_forward(x, params, cfg).numpy()
+        b = nsa.nsa_forward(x, params, cfg).numpy()
         assert np.array_equal(a, b)
 
 
@@ -476,20 +505,13 @@ class TestSharedKeyBranches:
     the shared keys; the gathered path of `attention_oracle` is its
     reference."""
 
-    def shared_and_gathered(self, monkeypatch, run):
-        """run() -> arrays, once as the package runs it (recording the ndim
-        of the keys each `_per_query_attention` call sees) and once with
-        the gathered selection patched in."""
-        key_ndims, per_query = [], nsa._per_query_attention
-
-        def recording(q, keys, values, valid):
-            key_ndims.append(keys.ndim)
-            return per_query(q, keys, values, valid)
-
-        monkeypatch.setattr(nsa, "_per_query_attention", recording)
+    def shared_and_gathered(self, monkeypatch, stages, run):
+        """run() -> arrays, once as the package runs it and once with the
+        gathered selection patched in. Returns the ndim of the keys each
+        `_per_query_attention` call of the first run saw."""
         shared = run()
+        key_ndims = [args["keys"].ndim for args, _ in stages["_per_query_attention"]]
         monkeypatch.setattr(nsa, "select_blocks", gathered_select_all)
-        monkeypatch.setattr(nsa, "_per_query_attention", per_query)
         gathered = run()
         assert len(shared) == len(gathered)
         for a, b in zip(shared, gathered):
@@ -497,30 +519,30 @@ class TestSharedKeyBranches:
         return key_ndims
 
     @pytest.mark.parametrize("n,over", SHARED_KEY_CASES.values(), ids=SHARED_KEY_CASES)
-    def test_branches_and_gradients_match_the_gathered_path(self, n, over, monkeypatch):
+    def test_branches_and_gradients_match_the_gathered_path(self, n, over, monkeypatch, stages):
         cfg = small_cfg(**over)
         rng = np.random.default_rng(17)
         params = nsa.init_nsa_params(cfg, rng)
         x = Tensor(rng.normal(size=(2, n, 8)), requires_grad=True)
         weight = Tensor(rng.normal(size=(2, n, 8)))
         leaves = dict(params, x=x)
-        outputs = []
 
         def run():
             for t in leaves.values():
                 t.grad = None
-            out = nsa.nsa_forward(x, params, cfg)
-            (out.output * weight).sum().backward()
-            outputs.append(out)
-            return [b.numpy() for b in out.branch_outputs] + [t.grad for t in leaves.values()]
+            (nsa.nsa_forward(x, params, cfg) * weight).sum().backward()
+            args, _ = stages["gated_combine"][-1]
+            return [b.numpy() for b in args["branches"]] + [t.grad for t in leaves.values()]
 
-        assert self.shared_and_gathered(monkeypatch, run) == [4, 5]
-        out, n_slc = outputs[0], cfg.n_select_blocks(n)
-        npt.assert_array_equal(out.selected, np.broadcast_to(np.arange(n_slc), (2, 1, n, n_slc)))
-        assert out.selected.dtype == np.intp and out.selected.flags.writeable
-        assert out.attn_valid["slc"].all()
+        assert self.shared_and_gathered(monkeypatch, stages, run) == [4, 5]
+        (_, (selected, *_)), = stages["select_blocks"]
+        n_slc = cfg.n_select_blocks(n)
+        npt.assert_array_equal(selected, np.broadcast_to(np.arange(n_slc), (2, 1, n, n_slc)))
+        assert selected.dtype == np.intp and selected.flags.writeable
+        slc_args, _ = stages["_per_query_attention"][0]
+        assert rows_valid(slc_args["valid"], (2, cfg.heads, n)).all()
 
-    def test_two_block_model_matches_the_gathered_path(self, monkeypatch):
+    def test_two_block_model_matches_the_gathered_path(self, monkeypatch, stages):
         nsa_cfg = NSAConfig(dim=16, heads=2, head_dim=8, window=3, compress_block=8, compress_stride=4,
                             select_block=8, num_selected=2)
         cfg = ModelConfig(nsa=nsa_cfg, num_tokens=15, num_blocks=2)
@@ -535,7 +557,7 @@ class TestSharedKeyBranches:
             weighted_cross_entropy(logits, y).backward()
             return [logits.numpy()] + [p.grad for p in params.values()]
 
-        assert self.shared_and_gathered(monkeypatch, run) == [4, 5, 4, 5]
+        assert self.shared_and_gathered(monkeypatch, stages, run) == [4, 5, 4, 5]
 
 
 class TestGradients:
@@ -550,6 +572,6 @@ class TestGradients:
         everything["x"] = x
 
         def loss():
-            return (nsa.nsa_forward(x, params, cfg).output * Tensor(weight)).sum()
+            return (nsa.nsa_forward(x, params, cfg) * Tensor(weight)).sum()
 
         fd_param_check(loss, everything, rng, samples=4)
