@@ -37,6 +37,7 @@ from .hyperopt import (
     refit_best,
     run_search,
 )
+from .metrics import METRIC_NAMES
 from .model import (
     FUSION_VARIANTS,
     ModelConfig,
@@ -61,6 +62,16 @@ SPARSE_SWEEPS = {
     "num_selected": (1, 2, 4),
 }
 
+# model fields that a null value leaves to be derived from the dataset
+SHAPE_FIELDS = ("num_tokens", "num_classes", "regression")
+
+# the leaves that may be null, where null means "derive" or "not given",
+# and the JSON type each takes otherwise
+NULLABLE = {
+    "data.csv": "string", "data.target": "string", "data.schema": "object", "model.nsa.compress_stride": "integer",
+    "model.num_tokens": "integer", "model.num_classes": "integer", "model.regression": "boolean",
+}
+
 
 class ConfigError(Exception):
     """Invalid config input; `field` is the dotted path of the offender."""
@@ -77,13 +88,8 @@ def default_config() -> dict:
         "model": {
             # NSAConfig derives dim, and the CLI runs only the non-causal variant
             "nsa": {k: v for k, v in dataclasses.asdict(NSAConfig()).items() if k not in ("dim", "causal")},
-            "num_tokens": None,
-            "num_classes": None,
-            "regression": None,
-            "hidden_head": 64,
-            "num_blocks": 1,
-            "fusion": "o",
-            "feature_id_embedding": True,
+            **dict.fromkeys(SHAPE_FIELDS),
+            **{f.name: f.default for f in dataclasses.fields(ModelConfig) if f.name not in ("nsa", *SHAPE_FIELDS)},
         },
         # each command sets the training seed itself (--seeds, trial seeds)
         "train": {k: v for k, v in dataclasses.asdict(TrainConfig()).items() if k != "seed"},
@@ -108,11 +114,38 @@ def _merge(base: dict, override: dict, path: str) -> dict:
     return out
 
 
+def _json_type(value) -> str:
+    """The JSON type of a parsed value, an integer told apart from other
+    numbers and an array named with its length."""
+    if isinstance(value, (list, tuple)):
+        return f"array of {len(value)}"
+    kinds = (("null", type(None)), ("boolean", bool), ("integer", int), ("number", float), ("string", str))
+    return next((kind for kind, types in kinds if isinstance(value, types)), "object")
+
+
+def _check_types(value, default, path: str) -> None:
+    """The type rule: each value has the JSON type of its default, where an
+    integer also counts as a number and an array's items take the types of
+    the default's. A NULLABLE leaf takes null or the type named there."""
+    if value is None and path in NULLABLE:
+        return
+    want, got = NULLABLE.get(path, _json_type(default)), _json_type(value)
+    if got != want and (want, got) != ("number", "integer"):
+        raise ConfigError(path, f"expected {want}, got {json.dumps(value)}")
+    if isinstance(default, tuple):
+        for item, item_default in zip(value, default):
+            _check_types(item, item_default, path)
+    elif isinstance(default, dict):
+        for key, item_default in default.items():
+            _check_types(value[key], item_default, f"{path}.{key}" if path else key)
+
+
 def load_config(path: str | None) -> dict:
-    """Defaults deep-merged with the file at `path`; unknown keys rejected."""
-    cfg = default_config()
+    """Defaults deep-merged with the file at `path`; unknown keys and values
+    that break the type rule are rejected."""
+    defaults = default_config()
     if path is None:
-        return cfg
+        return defaults
     try:
         with open(path, "r", encoding="utf-8") as fh:
             user = json.load(fh)
@@ -125,7 +158,9 @@ def load_config(path: str | None) -> dict:
     version = user.get("version", CONFIG_VERSION)
     if version != CONFIG_VERSION:
         raise ConfigError("version", f"unsupported config version {version!r}")
-    return _merge(cfg, user, "")
+    cfg = _merge(defaults, user, "")
+    _check_types(cfg, defaults, "")
+    return cfg
 
 
 # flags that override one `section.key` config field, named by `dest`;
@@ -142,7 +177,6 @@ OVERRIDE_FLAGS = {
 
 
 def apply_flag_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    cfg = json.loads(json.dumps(cfg))  # deep copy
     for spec in OVERRIDE_FLAGS.values():
         value = getattr(args, spec["dest"], None)
         if value is not None:
@@ -151,39 +185,36 @@ def apply_flag_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _built(field: str, cls, fields: dict):
+    """`cls(**fields)`, with a value the dataclass rejects reported as a
+    ConfigError at `field`."""
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(field, str(err))
+
+
 def build_nsa_config(nsa_cfg: dict) -> NSAConfig:
     """`NSAConfig` derives dim and a null compress_stride."""
-    if not isinstance(nsa_cfg.get("heads"), int) or not isinstance(nsa_cfg.get("head_dim"), int):
-        raise ConfigError("model.nsa", "heads and head_dim must be integers")
-    try:
-        return NSAConfig(**nsa_cfg)
-    except (TypeError, ValueError) as err:
-        raise ConfigError("model.nsa", str(err))
+    return _built("model.nsa", NSAConfig, nsa_cfg)
 
 
 def build_train_config(train_cfg: dict) -> TrainConfig:
-    try:
-        return TrainConfig(**train_cfg)
-    except (TypeError, ValueError) as err:
-        raise ConfigError("train", str(err))
+    return _built("train", TrainConfig, train_cfg)
 
 
 def build_search(search_cfg: dict) -> tuple[SearchSpace, int]:
     """The search section's (space, trial budget)."""
-    budget = search_cfg["budget"]
-    if not isinstance(budget, int) or budget < 1:
-        raise ConfigError("search.budget", "must be an integer >= 1")
-    d = {k: tuple(v) if isinstance(v, list) else v for k, v in search_cfg["space"].items()}
-    try:
-        return SearchSpace(**d), budget
-    except (TypeError, ValueError) as err:
-        raise ConfigError("search.space", str(err))
+    if search_cfg["budget"] < 1:
+        raise ConfigError("search.budget", "must be >= 1")
+    space = {k: tuple(v) if isinstance(v, list) else v for k, v in search_cfg["space"].items()}
+    return _built("search.space", SearchSpace, space), search_cfg["budget"]
 
 
 def build_model_config(cfg: dict, split: DatasetSplit | None) -> ModelConfig:
-    model = cfg["model"]
-    nsa = build_nsa_config(model["nsa"])
-    shape = {name: model[name] for name in ("num_tokens", "num_classes", "regression")}
+    model = dict(cfg["model"])
+    nsa = build_nsa_config(model.pop("nsa"))
+    shape = {name: model.pop(name) for name in SHAPE_FIELDS}
     if split is not None:
         derived = split.model_shape()
         for name, pinned in shape.items():
@@ -193,33 +224,23 @@ def build_model_config(cfg: dict, split: DatasetSplit | None) -> ModelConfig:
         shape = derived
     if shape["num_tokens"] is None:
         raise ConfigError("model.num_tokens", "required when no dataset is given")
-    try:
-        return ModelConfig(
-            nsa=nsa,
-            num_tokens=shape["num_tokens"],
-            num_classes=shape["num_classes"] if shape["num_classes"] is not None else 2,
-            regression=bool(shape["regression"]),
-            hidden_head=model["hidden_head"],
-            num_blocks=model["num_blocks"],
-            fusion=model["fusion"],
-            feature_id_embedding=model["feature_id_embedding"],
-        )
-    except (TypeError, ValueError) as err:
-        raise ConfigError("model", str(err))
+    # a null num_classes or regression takes ModelConfig's default
+    shape = {name: value for name, value in shape.items() if value is not None}
+    return _built("model", ModelConfig, {**model, **shape, "nsa": nsa})
 
 
-def load_table(cfg: dict, field: str = "data"):
+def load_table(cfg: dict):
     data = cfg["data"]
-    if not data.get("csv"):
-        raise ConfigError(f"{field}.csv", "a CSV path is required (flag --csv or config)")
-    if not data.get("target"):
-        raise ConfigError(f"{field}.target", "a target column name is required (flag --target or config)")
+    if not data["csv"]:
+        raise ConfigError("data.csv", "a CSV path is required (flag --csv or config)")
+    if not data["target"]:
+        raise ConfigError("data.target", "a target column name is required (flag --target or config)")
     try:
-        return load_csv(data["csv"], data["target"], data.get("schema"))
+        return load_csv(data["csv"], data["target"], data["schema"])
     except FileNotFoundError:
-        raise ConfigError(f"{field}.csv", f"file not found: {data['csv']}")
+        raise ConfigError("data.csv", f"file not found: {data['csv']}")
     except ValueError as err:
-        raise ConfigError(f"{field}", str(err))
+        raise ConfigError("data", str(err))
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -264,46 +285,33 @@ def _artifact(out_dir: str, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_sanitize(obj), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _write_text(out_dir: str, name: str, text: str) -> None:
+    with open(_artifact(out_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_json(out_dir: str, name: str, obj) -> None:
+    _write_text(out_dir, name, json.dumps(_sanitize(obj), sort_keys=True, indent=2) + "\n")
+
+
+def _write_csv(out_dir: str, name: str, header: list[str], rows) -> None:
+    with open(_artifact(out_dir, name), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _print_json(obj) -> None:
     print(json.dumps(_sanitize(obj), sort_keys=True))
 
 
-def _write_manifest(outdir: str, command: str, cfg: dict, seeds: list[int], started: str, extra: dict | None = None) -> None:
-    manifest = {
-        "command": command,
-        "artifact_version": __version__,
-        "config": cfg,
-        "seeds": seeds,
-        "out_dir": os.path.abspath(outdir),
-        "started_at": started,
-        "finished_at": _now(),
-    }
-    if extra:
-        manifest.update(extra)
-    _write_json(_artifact(outdir, "manifest.json"), manifest)
-
-
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _metric_name(report_dict: dict) -> str:
-    if report_dict.get("rmse") is not None:
-        return "rmse"
-    if report_dict.get("auc") is not None:
-        return "auc"
-    return "macro_f1"
-
-
-def _train_once(cfg: dict, raw, seed: int):
-    """One seed of the train pipeline: split, fit, score the test set once."""
-    split, state = prepare_dataset(raw, seed)
+def _train_once(cfg: dict, split: DatasetSplit, seed: int):
+    """One seed of the train pipeline on its prepared split: fit, then score
+    the test set once."""
     model_cfg = build_model_config(cfg, split)
     train_cfg = dataclasses.replace(build_train_config(cfg["train"]), seed=seed)
     params, history = fit_model(model_cfg, split, train_cfg, seed)
@@ -311,7 +319,7 @@ def _train_once(cfg: dict, raw, seed: int):
     total_flops, _ = count_flops(model_cfg, batch_size=1)
     summary = {
         "seed": seed,
-        "test": report.to_dict(),
+        "test": dataclasses.asdict(report),
         "best_epoch": history.best_epoch,
         "epochs_run": len(history.train_loss),
         "stopped_early": history.stopped_early,
@@ -320,12 +328,12 @@ def _train_once(cfg: dict, raw, seed: int):
         "param_count": count_params(model_cfg),
         "flops_per_row": total_flops,
     }
-    return summary, params, history, model_cfg, state
+    return summary, params, history, model_cfg
 
 
 def _aggregate(reports: list[dict]) -> dict:
     agg: dict = {"n_seeds": len(reports), "metrics": {}}
-    for key in ("auc", "accuracy", "macro_f1", "rmse"):
+    for key in METRIC_NAMES:
         values = [r["test"][key] for r in reports if r["test"].get(key) is not None]
         if values:
             agg["metrics"][key] = {
@@ -336,103 +344,94 @@ def _aggregate(reports: list[dict]) -> dict:
     return agg
 
 
+def _search(cfg: dict, split: DatasetSplit, template: ModelConfig, out_dir: str, log_name: str):
+    """Stage 1 of tune and transfer: `run_search` on `split` as the search
+    section sets it, logging trials to `log_name`. Its configs and the task
+    are checked before the log is opened, so a rejected run writes nothing."""
+    space, budget = build_search(cfg["search"])
+    base_train = build_train_config(cfg["train"])
+    if split.train[1].task != "classification":
+        raise ConfigError("data.target", "search maximizes a classification metric; got a numeric target")
+    return run_search(
+        split, space, budget, cfg["search"]["seed"],
+        model_template=template, base_train=base_train, log_path=_artifact(out_dir, log_name),
+    )
+
+
 # -- commands -------------------------------------------------------------------
+# each returns the fields `main` writes to manifest.json, or None for no manifest
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    started = _now()
-    cfg = apply_flag_overrides(load_config(args.config), args)
+def cmd_train(args: argparse.Namespace, cfg: dict) -> dict:
     seeds = parse_seeds(args.seeds)
     raw = load_table(cfg)
     summaries = []
     for seed in seeds:
-        summary, params, history, model_cfg, state = _train_once(cfg, raw, seed)
+        split, state = prepare_dataset(raw, seed)
+        summary, params, history, model_cfg = _train_once(cfg, split, seed)
         summaries.append(summary)
         tag = f"s{seed}"
-        _write_json(_artifact(args.out, f"report_{tag}.json"), summary)
-        with open(_artifact(args.out, f"history_{tag}.jsonl"), "w", encoding="utf-8") as fh:
-            fh.write(history.to_jsonl())
+        _write_json(args.out, f"report_{tag}.json", summary)
+        _write_text(args.out, f"history_{tag}.jsonl", history.to_jsonl())
         save_checkpoint(_artifact(args.out, f"checkpoint_{tag}.bin"), params, model_cfg)
-        with open(_artifact(args.out, f"preprocess_{tag}.json"), "w", encoding="utf-8") as fh:
-            fh.write(state.to_json() + "\n")
+        _write_text(args.out, f"preprocess_{tag}.json", state.to_json() + "\n")
     aggregate = _aggregate(summaries)
-    _write_json(_artifact(args.out, "aggregate.json"), aggregate)
-    _write_json(_artifact(args.out, "config.json"), cfg)
-    _write_manifest(args.out, "train", cfg, seeds, started)
+    _write_json(args.out, "aggregate.json", aggregate)
+    _write_json(args.out, "config.json", cfg)
     _print_json(aggregate["metrics"])
-    return 0
+    return {"seeds": seeds}
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
-    started = _now()
-    cfg = apply_flag_overrides(load_config(args.config), args)
+def cmd_tune(args: argparse.Namespace, cfg: dict) -> dict:
     raw = load_table(cfg)
-    space, budget = build_search(cfg["search"])
     seed = cfg["search"]["seed"]
     split, state = prepare_dataset(raw, seed)
-    template = build_model_config(cfg, split)
-    base_train = build_train_config(cfg["train"])
-    best, records = run_search(
-        split, space, budget, seed,
-        model_template=template, base_train=base_train, log_path=_artifact(args.out, "trials.jsonl"),
-    )
-    curve = best_so_far_curve(records)
-    with open(_artifact(args.out, "sensitivity.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial_id", "val_metric", "best_so_far"])
-        for rec, best_val in zip(sorted(records, key=lambda r: r.trial_id), curve):
-            writer.writerow([rec.trial_id, f"{rec.val_metric:.6f}", f"{best_val:.6f}"])
+    best, records = _search(cfg, split, build_model_config(cfg, split), args.out, "trials.jsonl")
+    rows = [[rec.trial_id, f"{rec.val_metric:.6f}", f"{best_val:.6f}"]
+            for rec, best_val in zip(records, best_so_far_curve(records))]
+    _write_csv(args.out, "sensitivity.csv", ["trial_id", "val_metric", "best_so_far"], rows)
     report, params = refit_best(best, split, seed=seed)
     model_cfg = ModelConfig.from_dict(report["config"]["model"])
     save_checkpoint(_artifact(args.out, "checkpoint_best.bin"), params, model_cfg)
-    with open(_artifact(args.out, "preprocess_best.json"), "w", encoding="utf-8") as fh:
-        fh.write(state.to_json() + "\n")
+    _write_text(args.out, "preprocess_best.json", state.to_json() + "\n")
     # keep only schema keys, so best_config.json is valid `train --config` input
     schema = default_config()
     best_cfg = json.loads(json.dumps(cfg))
     best_cfg["model"]["nsa"] = {k: v for k, v in best.model["nsa"].items() if k in schema["model"]["nsa"]}
     best_cfg["train"] = {k: v for k, v in report["config"]["train"].items() if k in schema["train"]}
-    _write_json(_artifact(args.out, "best_config.json"), best_cfg)
-    _write_json(_artifact(args.out, "refit_report.json"), report)
-    extra = {"budget": budget, "trial_wall_seconds": [rec.wall_seconds for rec in records]}
-    _write_manifest(args.out, "tune", cfg, [seed], started, extra=extra)
+    _write_json(args.out, "best_config.json", best_cfg)
+    _write_json(args.out, "refit_report.json", report)
     _print_json({"best_trial": best.trial_id, "val_metric": best.val_metric, "test": report["test"]})
-    return 0
+    walls = [rec.wall_seconds for rec in records]
+    return {"seeds": [seed], "budget": cfg["search"]["budget"], "trial_wall_seconds": walls}
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace, cfg: dict) -> None:
     params, model_cfg = load_checkpoint(args.checkpoint)
-    state_path = args.preprocess or os.path.join(
-        os.path.dirname(args.checkpoint),
-        os.path.basename(args.checkpoint).replace("checkpoint", "preprocess").replace(".bin", ".json"),
-    )
+    folder, name = os.path.split(args.checkpoint)
+    default_state = name.replace("checkpoint", "preprocess").replace(".bin", ".json")
+    state_path = args.preprocess or os.path.join(folder, default_state)
     try:
         with open(state_path, "r", encoding="utf-8") as fh:
             state = PreprocessState.from_json(fh.read())
     except FileNotFoundError:
         raise ConfigError("preprocess", f"preprocess state not found: {state_path}")
-    cfg = apply_flag_overrides(load_config(args.config), args)
-    if not cfg["data"].get("target"):
+    if not cfg["data"]["target"]:
         cfg["data"]["target"] = state.target["name"]
     raw = load_table(cfg)
     features, labels = apply_preprocess(raw, state)
     if features.values.shape[1] != model_cfg.num_tokens:
         raise ConfigError("data.csv", f"{features.values.shape[1]} features; checkpoint expects {model_cfg.num_tokens}")
     report = evaluation_report(params, model_cfg, features, labels)
-    payload = {"checkpoint": os.path.basename(args.checkpoint), "rows": int(features.values.shape[0]), "report": report.to_dict()}
+    payload = {"checkpoint": name, "rows": int(features.values.shape[0]), "report": dataclasses.asdict(report)}
     if args.out:
-        _write_json(_artifact(args.out, "eval_report.json"), payload)
+        _write_json(args.out, "eval_report.json", payload)
     _print_json(payload)
-    return 0
 
 
-def cmd_transfer(args: argparse.Namespace) -> int:
-    started = _now()
-    cfg = apply_flag_overrides(load_config(args.config), args)
+def cmd_transfer(args: argparse.Namespace, cfg: dict) -> dict:
     raw = load_table(cfg)
     seed = cfg["search"]["seed"]
-    space, budget = build_search(cfg["search"])
-    base_train = build_train_config(cfg["train"])
     set1, set2 = transfer_split(raw, args.overlap, seed)
     shared = sorted(set(c.name for c in set1.feature_columns) & set(c.name for c in set2.feature_columns))
     splits = {"set1": prepare_dataset(set1, seed)[0], "set2": prepare_dataset(set2, seed)[0]}
@@ -440,11 +439,7 @@ def cmd_transfer(args: argparse.Namespace) -> int:
     trial_wall_seconds = {}
 
     def direction(src: str, dst: str) -> dict:
-        best, records = run_search(
-            splits[src], space, budget, seed,
-            model_template=templates[src], base_train=base_train,
-            log_path=_artifact(args.out, f"trials_{src}.jsonl"),
-        )
+        best, records = _search(cfg, splits[src], templates[src], args.out, f"trials_{src}.jsonl")
         trial_wall_seconds[src] = [rec.wall_seconds for rec in records]
         model_cfg = dataclasses.replace(templates[dst], nsa=NSAConfig(**best.model["nsa"]))
         params, history = fit_model(model_cfg, splits[dst], TrainConfig(**best.train), best.seed)
@@ -455,106 +450,73 @@ def cmd_transfer(args: argparse.Namespace) -> int:
             "tuned_val_metric": best.val_metric,
             "best_trial": best.trial_id,
             "epochs_run": len(history.train_loss),
-            "test": report.to_dict(),
+            "test": dataclasses.asdict(report),
         }
 
-    forward = direction("set1", "set2")
-    backward = direction("set2", "set1")
-    for leg in (forward, backward):
-        if leg["applied_nsa"] != leg["tuned_nsa"]:
-            raise RuntimeError("transfer protocol violation: applied hyperparameters differ from tuned ones")
     result = {
         "overlap": args.overlap,
         "shared_features": shared,
         "set1_features": [c.name for c in set1.feature_columns],
         "set2_features": [c.name for c in set2.feature_columns],
-        "set1_to_set2": forward,
-        "set2_to_set1": backward,
+        "set1_to_set2": direction("set1", "set2"),
+        "set2_to_set1": direction("set2", "set1"),
     }
-    _write_json(_artifact(args.out, "transfer.json"), result)
-    extra = {"overlap": args.overlap, "trial_wall_seconds": trial_wall_seconds}
-    _write_manifest(args.out, "transfer", cfg, [seed], started, extra=extra)
-    _print_json({"set1_to_set2": forward["test"], "set2_to_set1": backward["test"]})
-    return 0
+    _write_json(args.out, "transfer.json", result)
+    _print_json({key: result[key]["test"] for key in ("set1_to_set2", "set2_to_set1")})
+    return {"seeds": [seed], "overlap": args.overlap, "trial_wall_seconds": trial_wall_seconds}
 
 
 def _ablate_settings(what: str, cfg: dict) -> list[tuple[str, str, dict]]:
     """(parameter, value-label, config-overrides) triples for one axis."""
-    rows: list[tuple[str, str, dict]] = []
     if what == "fusion":
-        for variant in FUSION_VARIANTS:
-            rows.append(("fusion", variant, {"model": {"fusion": variant}}))
-    elif what == "blocks":
-        for depth in (1, 2, 3, 4):
-            rows.append(("num_blocks", str(depth), {"model": {"num_blocks": depth}}))
-    elif what == "optimizer":
-        for opt in OPTIMIZERS:
-            rows.append(("optimizer", opt, {"train": {"optimizer": opt}}))
-    elif what == "sparse_params":
-        baseline = cfg["model"]["nsa"]
-        for name, grid in SPARSE_SWEEPS.items():
-            for value in grid:
-                # every row keeps 2 <= select_block <= compress_block
-                if name == "select_block" and value > baseline["compress_block"]:
+        return [("fusion", variant, {"model": {"fusion": variant}}) for variant in FUSION_VARIANTS]
+    if what == "blocks":
+        return [("num_blocks", str(depth), {"model": {"num_blocks": depth}}) for depth in (1, 2, 3, 4)]
+    if what == "optimizer":
+        return [("optimizer", opt, {"train": {"optimizer": opt}}) for opt in OPTIMIZERS]
+    rows = []
+    for name, grid in SPARSE_SWEEPS.items():
+        for value in grid:
+            nsa = {name: value}
+            if name in ("compress_block", "select_block"):
+                nsa["compress_stride"] = None  # re-derived from the new blocks
+                # every row keeps select_block <= compress_block
+                blocks = {**cfg["model"]["nsa"], **nsa}
+                if blocks["select_block"] > blocks["compress_block"]:
                     continue
-                if name == "compress_block" and value < baseline["select_block"]:
-                    continue
-                nsa = {name: value}
-                if name in ("compress_block", "select_block"):
-                    nsa["compress_stride"] = None  # re-derived from the new blocks
-                rows.append((name, str(value), {"model": {"nsa": nsa}}))
-    else:
-        raise ConfigError("ablate", f"unknown axis {what!r}; expected one of {ABLATE_AXES}")
+            rows.append((name, str(value), {"model": {"nsa": nsa}}))
     return rows
 
 
-def cmd_ablate(args: argparse.Namespace) -> int:
-    started = _now()
-    cfg = apply_flag_overrides(load_config(args.config), args)
+def cmd_ablate(args: argparse.Namespace, cfg: dict) -> dict:
     seeds = parse_seeds(args.seeds)
     raw = load_table(cfg)
+    splits = [prepare_dataset(raw, seed)[0] for seed in seeds]
     # build every row's configs before the first row trains
-    split, _ = prepare_dataset(raw, seeds[0])
     sweep = []
     for parameter, value, overrides in _ablate_settings(args.what, cfg):
-        merged = _merge(json.loads(json.dumps(cfg)), overrides, "")
-        build_model_config(merged, split)
+        merged = _merge(cfg, overrides, "")
+        build_model_config(merged, splits[0])
         build_train_config(merged["train"])
         sweep.append((parameter, value, merged))
+    header = ["parameter", "value", "metric_name", "mean", "std", "n_seeds"]
     rows = []
     for parameter, value, merged in sweep:
-        reports = []
-        for seed in seeds:
-            summary, *_ = _train_once(merged, raw, seed)
-            reports.append(summary)
-        metric = _metric_name(reports[0]["test"])
-        values = [r["test"][metric] for r in reports if r["test"][metric] is not None]
-        rows.append({
-            "parameter": parameter,
-            "value": value,
-            "metric_name": metric,
-            "mean": float(np.mean(values)) if values else float("nan"),
-            "std": float(np.std(values)) if values else float("nan"),
-            "n_seeds": len(seeds),
-        })
-    with open(_artifact(args.out, f"ablation_{args.what}.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["parameter", "value", "metric_name", "mean", "std", "n_seeds"])
-        for row in rows:
-            writer.writerow([
-                row["parameter"], row["value"], row["metric_name"],
-                f"{row['mean']:.6f}", f"{row['std']:.6f}", row["n_seeds"],
-            ])
-    _write_json(_artifact(args.out, f"ablation_{args.what}.json"), rows)
-    _write_manifest(args.out, "ablate", cfg, seeds, started, extra={"what": args.what})
+        reports = [_train_once(merged, split, seed)[0] for split, seed in zip(splits, seeds)]
+        metric = next((name for name in ("rmse", "auc") if reports[0]["test"][name] is not None), "macro_f1")
+        stats = _aggregate(reports)["metrics"][metric]
+        rows.append({"parameter": parameter, "value": value, "metric_name": metric,
+                     "mean": stats["mean"], "std": stats["std"], "n_seeds": len(seeds)})
+    csv_rows = [[f"{row[k]:.6f}" if k in ("mean", "std") else row[k] for k in header] for row in rows]
+    _write_csv(args.out, f"ablation_{args.what}.csv", header, csv_rows)
+    _write_json(args.out, f"ablation_{args.what}.json", rows)
     _print_json(rows)
-    return 0
+    return {"seeds": seeds, "what": args.what}
 
 
-def cmd_flops(args: argparse.Namespace) -> int:
-    cfg = apply_flag_overrides(load_config(args.config), args)
+def cmd_flops(args: argparse.Namespace, cfg: dict) -> None:
     split = None
-    if cfg["data"].get("csv"):
+    if cfg["data"]["csv"]:
         # shape the model from the dataset exactly as train would; the
         # counts depend on the table's columns and classes, not the split
         split, _ = prepare_dataset(load_table(cfg), 0)
@@ -573,9 +535,8 @@ def cmd_flops(args: argparse.Namespace) -> int:
                     "attention_window")
         payload["sparse_branches_flops"] = sum(breakdown[k] for k in branches)
     if args.out:
-        _write_json(_artifact(args.out, "flops.json"), payload)
+        _write_json(args.out, "flops.json", payload)
     _print_json(payload)
-    return 0
 
 
 # -- parser ----------------------------------------------------------------------
@@ -624,21 +585,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-COMMANDS = {
-    "train": cmd_train,
-    "tune": cmd_tune,
-    "eval": cmd_eval,
-    "transfer": cmd_transfer,
-    "ablate": cmd_ablate,
-    "flops": cmd_flops,
-}
+COMMANDS = {"train": cmd_train, "tune": cmd_tune, "eval": cmd_eval, "transfer": cmd_transfer, "ablate": cmd_ablate,
+            "flops": cmd_flops}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = _now()
     try:
-        return COMMANDS[args.command](args)
+        cfg = apply_flag_overrides(load_config(args.config), args)
+        fields = COMMANDS[args.command](args, cfg)
+        if fields is not None:
+            manifest = {"command": args.command, "artifact_version": __version__, "config": cfg,
+                        "out_dir": os.path.abspath(args.out), "started_at": started, "finished_at": _now()}
+            _write_json(args.out, "manifest.json", {**manifest, **fields})
+        return 0
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -303,7 +303,7 @@ def refit_best(
         "seed": seed,
         "val_metric_search": record.val_metric,
         "val_metric_refit": hist.val_metric[hist.best_epoch - 1] if hist.val_metric else None,
-        "test": report.to_dict(),
+        "test": dataclasses.asdict(report),
         "param_count": count_params(model_cfg),
         "flops_per_row": total_flops,
         "flops_breakdown": flop_breakdown,

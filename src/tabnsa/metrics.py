@@ -79,9 +79,14 @@ def rmse(pred, true) -> float:
     return float(np.sqrt(np.mean((pred - true) ** 2)))
 
 
+# the scalar metrics of an EvalReport, in its field order
+METRIC_NAMES = ("auc", "accuracy", "macro_f1", "rmse")
+
+
 @dataclass
 class EvalReport:
-    """Task metrics with fixed serialization keys; fields that do not apply are None."""
+    """Task metrics; `dataclasses.asdict` gives its serialized form, and
+    fields that do not apply are None."""
 
     auc: float | None = None
     accuracy: float | None = None
@@ -90,7 +95,7 @@ class EvalReport:
     confusion: list[list[int]] | None = None
 
     def __post_init__(self):
-        for name in ("auc", "accuracy", "macro_f1", "rmse"):
+        for name in METRIC_NAMES:
             v = getattr(self, name)
             if v is not None and not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -99,15 +104,6 @@ class EvalReport:
             total = mat.sum()
             if total > 0 and abs(np.trace(mat) / total - self.accuracy) > 1e-9:
                 raise ValueError("accuracy inconsistent with confusion matrix")
-
-    def to_dict(self) -> dict:
-        return {
-            "auc": self.auc,
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "rmse": self.rmse,
-            "confusion": self.confusion,
-        }
 
 
 def classification_report(probs: np.ndarray, labels, num_classes: int) -> EvalReport:

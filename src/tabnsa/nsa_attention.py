@@ -116,7 +116,8 @@ def project_qkv(x: Tensor, params: dict, cfg: NSAConfig):
 
 def _checked_plan(idx: np.ndarray, n_tokens: int) -> np.ndarray:
     """`idx`, made read-only, once every entry is a token position in
-    [0, n_tokens): the gathers clip an index outside instead of raising."""
+    [0, n_tokens): the gathers' `take` raises on an index past the end but
+    wraps a negative one."""
     if idx.min() < 0 or idx.max() >= n_tokens:
         raise IndexError(f"token index plan leaves [0, {n_tokens})")
     idx.flags.writeable = False

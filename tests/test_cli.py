@@ -18,6 +18,8 @@ from tabnsa.cli import (
     build_model_config,
     build_nsa_config,
     build_parser,
+    build_search,
+    build_train_config,
     default_config,
     load_config,
     main,
@@ -88,6 +90,44 @@ def fast_config(tmp_path_factory, toy_csv):
     return str(path)
 
 
+def json_kind(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, np.integer)):
+        return "integer"
+    return {float: "number", str: "string", list: "array", tuple: "array", dict: "object"}[type(value)]
+
+
+def config_leaves(node, path=()):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, path + (key,))
+        else:
+            yield ".".join(path + (key,)), value
+
+
+# the kinds a leaf whose default is null takes, as README gives them
+NULL_DEFAULT_KINDS = {
+    "data.csv": {"null", "string"}, "data.target": {"null", "string"}, "data.schema": {"null", "object"},
+    "model.num_tokens": {"null", "integer"}, "model.num_classes": {"null", "integer"},
+    "model.regression": {"null", "boolean"},
+}
+# the kinds a leaf's value may have: its default's, with an integer also a number
+LEAF_KINDS = {
+    leaf: NULL_DEFAULT_KINDS.get(leaf) or ({"number", "integer"} if json_kind(default) == "number" else {json_kind(default)})
+    for leaf, default in config_leaves(default_config())
+}
+# each leaf with one value of every JSON type it does not take
+TYPE_CASES = [
+    (leaf, value)
+    for leaf, kinds in LEAF_KINDS.items()
+    for value in (None, True, 3, 2.5, "x", [1, 2], {"a": 1})
+    if json_kind(value) not in kinds
+]
+
+
 class TestConfigMachinery:
     def test_defaults_have_version_and_sections(self):
         cfg = load_config(None)
@@ -127,6 +167,32 @@ class TestConfigMachinery:
             return sum(leaves(v) if isinstance(v, dict) else 1 for v in node.values())
 
         assert leaves(default_config()) == 40
+
+    @pytest.mark.parametrize("leaf,value", TYPE_CASES, ids=[f"{leaf}={json.dumps(v)}" for leaf, v in TYPE_CASES])
+    def test_a_value_of_another_json_type_is_rejected_or_built_to_the_default_type(self, leaf, value, tmp_path):
+        body = {"model": {"num_tokens": 6}}
+        *sections, key = leaf.split(".")
+        node = body
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+        p = tmp_path / "typed.json"
+        p.write_text(json.dumps(body))
+        try:
+            cfg = load_config(str(p))
+            space, budget = build_search(cfg["search"])
+            built = {
+                **cfg,
+                "model": build_model_config(cfg, None),
+                "train": build_train_config(cfg["train"]),
+                "search": {"budget": budget, "seed": cfg["search"]["seed"], "space": space},
+            }
+        except ConfigError as err:
+            assert err.field == leaf
+            return
+        for name in leaf.split("."):
+            built = built[name] if isinstance(built, dict) else getattr(built, name)
+        assert json_kind(built) in LEAF_KINDS[leaf], (leaf, built)
 
     def test_nsa_stride_null_becomes_common_divisor(self):
         nsa = default_config()["model"]["nsa"]
@@ -262,6 +328,42 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, body, field", [
+        ("flops", {"model": []}, "model"),
+        ("flops", {"model": {"nsa": 7}}, "model.nsa"),
+        ("train", {"train": {"adamw": 3}}, "train.adamw"),
+        ("tune", {"search": {"space": 3}}, "search.space"),
+        ("train", {"data": {"schema": 4}}, "data.schema"),
+        ("train", {"model": {"nsa": {"window": 2.5}}}, "model.nsa.window"),
+        ("train", {"model": {"nsa": {"num_selected": 1.5}}}, "model.nsa.num_selected"),
+        ("train", {"model": {"hidden_head": 8.5}}, "model.hidden_head"),
+        ("train", {"train": {"batch_size": 16.5}}, "train.batch_size"),
+        ("train", {"train": {"max_epochs": 1.5}}, "train.max_epochs"),
+        ("train", {"model": {"nsa": {"heads": True}}}, "model.nsa.heads"),
+        ("train", {"model": {"num_blocks": True}}, "model.num_blocks"),
+        ("train", {"train": {"batch_size": True}}, "train.batch_size"),
+        ("tune", {"search": {"budget": True}}, "search.budget"),
+        ("tune", {"search": {"space": {"heads": [1]}}}, "search.space.heads"),
+        ("tune", {"search": {"space": {"lr": [1e-3, 2e-3, 3e-3]}}}, "search.space.lr"),
+    ], ids=lambda v: json.dumps(v, separators=(",", ":")) if isinstance(v, dict) else v)
+    def test_a_value_of_the_wrong_json_type_exits_2_naming_it(self, command, body, field, toy_csv, tmp_path, capsys):
+        body.setdefault("train", {}).setdefault("max_epochs", 1)
+        p = tmp_path / "typed.json"
+        p.write_text(json.dumps(body))
+        out = tmp_path / "o"
+        code = main([command, "--config", str(p), "--csv", toy_csv, "--target", "label", "--out", str(out)])
+        assert code == 2
+        assert f"config error: {field}: expected " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [("tune", []), ("transfer", ["--overlap", "0.5"])])
+    def test_search_on_a_numeric_target_writes_nothing(self, command, flags, regression_csv, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main([command, "--csv", regression_csv, "--target", "y", "--out", str(out), "--budget", "1", *flags])
+        assert code == 2
+        assert "search maximizes a classification metric" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_seed_list(self, fast_config, tmp_path, capsys):
         code = main(["train", "--config", fast_config, "--out", str(tmp_path / "o"), "--seeds", "9..1"])
         assert code == 2
@@ -350,14 +452,16 @@ class TestTrainCommand:
 class TestRerunIdentity:
     """Every artifact-writing command reruns to the same bytes and stdout."""
 
-    @pytest.mark.parametrize("argv", [
-        ["tune", "--budget", "2"],
-        ["eval"],
-        ["transfer", "--overlap", "0.5"],
-        ["ablate", "--what", "optimizer", "--seeds", "0"],
-        ["flops", "--compare-dense"],
-    ], ids=lambda argv: argv[0])
-    def test_rerun_is_byte_identical(self, argv, fast_config, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, files", [
+        (["tune", "--budget", "2"], {"trials.jsonl", "sensitivity.csv", "refit_report.json", "checkpoint_best.bin",
+                                     "preprocess_best.json", "best_config.json", "manifest.json"}),
+        (["eval"], {"eval_report.json"}),
+        (["transfer", "--overlap", "0.5"], {"trials_set1.jsonl", "trials_set2.jsonl", "transfer.json", "manifest.json"}),
+        (["ablate", "--what", "optimizer", "--seeds", "0"],
+         {"ablation_optimizer.csv", "ablation_optimizer.json", "manifest.json"}),
+        (["flops", "--compare-dense"], {"flops.json"}),
+    ], ids=["tune", "eval", "transfer", "ablate", "flops"])
+    def test_rerun_is_byte_identical(self, argv, files, fast_config, tmp_path, capsys):
         if argv[0] == "eval":
             trained = str(tmp_path / "trained")
             assert main(["train", "--config", fast_config, "--out", trained, "--seeds", "0"]) == 0
@@ -368,6 +472,7 @@ class TestRerunIdentity:
             assert main(argv + ["--config", fast_config, "--out", out]) == 0
             stdouts.append(capsys.readouterr().out)
         assert stdouts[0] == stdouts[1]
+        assert set(os.listdir(outs[0])) == files
         assert_same_artifacts(*outs)
 
 
