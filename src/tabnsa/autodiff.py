@@ -202,28 +202,29 @@ def make_leaves(specs: dict, rng: np.random.Generator | int) -> dict[str, Tensor
     return leaves
 
 
-def alias_leaves(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    """Leaves over the same arrays as `params`, each with a `.grad` of its
-    own, so several tapes can run over one set of weights at once."""
-    return {name: Tensor(p.data, requires_grad=True) for name, p in params.items()}
-
-
 def flatten(arrays: Iterable[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
     """The flat parameter layout: the arrays raveled and concatenated in
     order into one new vector, or into `out` when it is given."""
     return np.concatenate([np.ravel(a) for a in arrays], out=out)
 
 
-def unflatten(params: dict[str, Tensor], vector: np.ndarray) -> None:
-    """The inverse of `flatten` over `params` in dict order: each leaf's
-    slice of `vector` is written into its existing `.data` in place."""
-    offset = 0
+def views(vector: np.ndarray, params: dict[str, Tensor]) -> list[np.ndarray]:
+    """The inverse of `flatten` over `params` in dict order, without a copy:
+    each leaf's slice of `vector`, shaped like its `.data`."""
+    out, offset = [], 0
     for p in params.values():
-        size = p.data.size
-        p.data[...] = vector[offset:offset + size].reshape(p.data.shape)
-        offset += size
+        out.append(vector[offset:offset + p.data.size].reshape(p.data.shape))
+        offset += p.data.size
     if offset != len(vector):
         raise ValueError(f"vector has {len(vector)} entries but the parameters hold {offset}")
+    return out
+
+
+def unflatten(params: dict[str, Tensor], vector: np.ndarray) -> None:
+    """Write each leaf's slice of `vector` (`views`) into its existing
+    `.data` in place."""
+    for p, v in zip(params.values(), views(vector, params)):
+        p.data[...] = v
 
 
 def _ensure(x) -> Tensor:

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -185,13 +186,19 @@ def apply_flag_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _built(field: str, cls, fields: dict):
+def _built(field: str, cls, fields: dict, warn: bool = True):
     """`cls(**fields)`, with a value the dataclass rejects reported as a
-    ConfigError at `field`."""
-    try:
-        return cls(**fields)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(field, str(err))
+    ConfigError at `field`, and a warning it gives (a clamped num_selected)
+    printed as a config warning at `field` when `warn` is set."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            built = cls(**fields)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(field, str(err))
+    for w in caught if warn else ():
+        print(f"config warning: {field}: {w.message}", file=sys.stderr)
+    return built
 
 
 def build_nsa_config(nsa_cfg: dict) -> NSAConfig:
@@ -211,7 +218,7 @@ def build_search(search_cfg: dict) -> tuple[SearchSpace, int]:
     return _built("search.space", SearchSpace, space), search_cfg["budget"]
 
 
-def build_model_config(cfg: dict, split: DatasetSplit | None) -> ModelConfig:
+def build_model_config(cfg: dict, split: DatasetSplit | None, warn: bool = True) -> ModelConfig:
     model = dict(cfg["model"])
     nsa = build_nsa_config(model.pop("nsa"))
     shape = {name: model.pop(name) for name in SHAPE_FIELDS}
@@ -226,7 +233,7 @@ def build_model_config(cfg: dict, split: DatasetSplit | None) -> ModelConfig:
         raise ConfigError("model.num_tokens", "required when no dataset is given")
     # a null num_classes or regression takes ModelConfig's default
     shape = {name: value for name, value in shape.items() if value is not None}
-    return _built("model", ModelConfig, {**model, **shape, "nsa": nsa})
+    return _built("model", ModelConfig, {**model, **shape, "nsa": nsa}, warn)
 
 
 def load_table(cfg: dict):
@@ -309,10 +316,10 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _train_once(cfg: dict, split: DatasetSplit, seed: int):
+def _train_once(cfg: dict, split: DatasetSplit, seed: int, warn: bool):
     """One seed of the train pipeline on its prepared split: fit, then score
-    the test set once."""
-    model_cfg = build_model_config(cfg, split)
+    the test set once. `warn` prints the model config's warnings."""
+    model_cfg = build_model_config(cfg, split, warn)
     train_cfg = dataclasses.replace(build_train_config(cfg["train"]), seed=seed)
     params, history = fit_model(model_cfg, split, train_cfg, seed)
     report = evaluation_report(params, model_cfg, *split.test)
@@ -368,7 +375,7 @@ def cmd_train(args: argparse.Namespace, cfg: dict) -> dict:
     summaries = []
     for seed in seeds:
         split, state = prepare_dataset(raw, seed)
-        summary, params, history, model_cfg = _train_once(cfg, split, seed)
+        summary, params, history, model_cfg = _train_once(cfg, split, seed, warn=seed == seeds[0])
         summaries.append(summary)
         tag = f"s{seed}"
         _write_json(args.out, f"report_{tag}.json", summary)
@@ -492,7 +499,7 @@ def cmd_ablate(args: argparse.Namespace, cfg: dict) -> dict:
     seeds = parse_seeds(args.seeds)
     raw = load_table(cfg)
     splits = [prepare_dataset(raw, seed)[0] for seed in seeds]
-    # build every row's configs before the first row trains
+    # build every row's configs, and print their warnings, before the first row trains
     sweep = []
     for parameter, value, overrides in _ablate_settings(args.what, cfg):
         merged = _merge(cfg, overrides, "")
@@ -502,7 +509,7 @@ def cmd_ablate(args: argparse.Namespace, cfg: dict) -> dict:
     header = ["parameter", "value", "metric_name", "mean", "std", "n_seeds"]
     rows = []
     for parameter, value, merged in sweep:
-        reports = [_train_once(merged, split, seed)[0] for split, seed in zip(splits, seeds)]
+        reports = [_train_once(merged, split, seed, warn=False)[0] for split, seed in zip(splits, seeds)]
         metric = next((name for name in ("rmse", "auc") if reports[0]["test"][name] is not None), "macro_f1")
         stats = _aggregate(reports)["metrics"][metric]
         rows.append({"parameter": parameter, "value": value, "metric_name": metric,

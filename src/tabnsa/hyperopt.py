@@ -7,7 +7,11 @@ initialization and touches the test split exactly once.
 
 Trials are reproducible in isolation: every trial's seed is derived from
 (search seed, trial id) with a stable hash, so records can be replayed or
-recomputed in any order, including across worker threads.
+recomputed in any order, including across worker threads. With more than
+one worker, each trial's fit runs in a process forked from its worker
+thread, which may use `max(1, cores // workers)` cores for its tile pool
+and sharded steps; the trained weights come back into the caller's
+parameters.
 """
 
 from __future__ import annotations
@@ -16,16 +20,19 @@ import dataclasses
 import hashlib
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
+from . import model, training
 from .data import DatasetSplit
 from .model import ModelConfig, count_flops, count_params, init_model_params
 from .nsa_attention import NSAConfig
-from .training import NanLossError, TrainConfig, evaluation_report, fit
+from .training import NanLossError, TrainConfig, _receive, _start_child, _stop_child, evaluation_report
 
 THREADS_ENV_VAR = "TABNSA_THREADS"
 
@@ -128,6 +135,40 @@ def derive_trial_seed(seed: int, trial_id: int) -> int:
     """Stable 63-bit seed for one trial; never uses process-salted hashing."""
     digest = hashlib.sha256(f"trial:{seed}:{trial_id}".encode()).digest()
     return int.from_bytes(digest[:8], "little") >> 1
+
+
+# `.cores`: the core budget of a trial worker thread of a parallel search
+_TRIAL = threading.local()
+
+
+def fit(params: dict, model_cfg: ModelConfig, split: DatasetSplit, train_cfg: TrainConfig):
+    """`training.fit`. On a trial worker thread of a parallel search it runs
+    in a forked child whose tile pool and sharded steps use at most that
+    thread's core budget; the trained weights are copied back into `params`
+    in place, and the child's error, a NanLossError say, is raised here."""
+    cores = getattr(_TRIAL, "cores", None)
+    if cores is None or training._FORK is None:
+        return training.fit(params, model_cfg, split, train_cfg)
+    proc, conn = _start_child(_fit_child, params, model_cfg, split, train_cfg, cores, name="tabnsa-trial")
+    try:
+        reply = _receive(proc, conn)
+    finally:
+        _stop_child(proc, conn)
+    if isinstance(reply, Exception):
+        raise reply
+    weights, hist = reply
+    ad.unflatten(params, weights)
+    return params, hist
+
+
+def _fit_child(conn, params, model_cfg, split, train_cfg, cores: int) -> None:
+    model._CORE_BUDGET = cores
+    try:
+        _, hist = training.fit(params, model_cfg, split, train_cfg)
+        reply = ad.flatten(p.data for p in params.values()), hist
+    except Exception as err:
+        reply = err
+    conn.send(reply)
 
 
 def fit_model(model_cfg: ModelConfig, split: DatasetSplit, train_cfg: TrainConfig, rng):
@@ -268,7 +309,9 @@ def run_search(
         return run_trial(trial_id, split, space, seed, model_template, base_train)
 
     fresh = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    cores = max(1, model._usable_cores() // workers)
+    # each worker thread's trials fit in forked children within its core budget
+    with ThreadPoolExecutor(workers, initializer=setattr, initargs=(_TRIAL, "cores", cores)) as pool:
         # both maps yield in trial-id order, whatever order trials finish in;
         # the builtin one keeps a lone worker's trials on this thread
         parallel = workers > 1 and len(pending) > 1

@@ -63,11 +63,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_tile_pool)
 
 
+# the most cores this process may use: a trial child of a parallel search
+# (`hyperopt.fit`) sets its share, and None means all it may run on
+_CORE_BUDGET: int | None = None
+
+
 def _usable_cores() -> int:
     try:
-        return len(os.sched_getaffinity(0))
+        cores = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cores = os.cpu_count() or 1
+    return cores if _CORE_BUDGET is None else min(cores, _CORE_BUDGET)
 
 
 def _tile_pool() -> ThreadPoolExecutor | None:

@@ -7,30 +7,39 @@ weight decay), or one accepted step of full-batch L-BFGS (scipy's L-BFGS-B
 with its strong-Wolfe line search). The target picks the loss:
 class-weighted cross-entropy for a label, MSE for a number. A step whose
 half batch reaches `SHARD_FLOPS` forward FLOPs runs as two half-batch
-tapes, the second on the tile pool when a fit runs on the main thread.
+tapes. A fit on the main thread of a process with two or more usable cores
+forks one helper process for its life, which runs each step's second half
+while the calling thread runs the first; elsewhere the halves run inline.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import mmap
+import multiprocessing
+import signal
 import threading
-from concurrent.futures import wait
 from dataclasses import dataclass, field
 from functools import cache, partial
 
 import numpy as np
 
 from . import autodiff as ad
-from . import metrics
+from . import metrics, model
 from .autodiff import Tensor
 from .data import DatasetSplit, FeatureMatrix, LabelVector, class_weights
-from .model import ModelConfig, _tile_pool, count_flops, forward
+from .model import ModelConfig, count_flops, forward
 
 OPTIMIZERS = ("adamw", "lbfgs")
 
 # forward FLOPs (`count_flops`) of half a batch from which a step runs as two
-# half-batch tapes; below it the hand-off costs more than a second core saves
-SHARD_FLOPS = 24_000_000
+# half-batch tapes; below it handing a half to the helper process costs more
+# than a second core saves (the sweep is in README "Training")
+SHARD_FLOPS = 1_000_000
+
+# the start method of a sharded fit's helper process; None where there is none
+_FORK = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
 
 
 class NanLossError(RuntimeError):
@@ -46,6 +55,9 @@ class NanLossError(RuntimeError):
         super().__init__(message)
         self.epoch = epoch
         self.batch_index = batch_index
+
+    def __reduce__(self):  # so it crosses a pipe from a trial child intact
+        return NanLossError, (self.epoch, self.batch_index)
 
 
 @dataclass(frozen=True)
@@ -375,54 +387,142 @@ def _first_shard(model_cfg: ModelConfig, batch: int) -> int:
     return half if batch > 1 and count_flops(model_cfg, half)[0] >= SHARD_FLOPS else batch
 
 
-def _loss_and_grads(params, model_cfg, x, y, rows, weights, first: int) -> float | None:
+def _tape(params, model_cfg, x, y, rows, weights, share: float) -> float | None:
+    """`share` times the loss on `rows` (features `x`), with `share` times
+    its gradient in each parameter's `.grad` (set afresh), or None on
+    divergence. The tape is unreachable once this returns."""
+    loss = _batch_loss(params, model_cfg, x, y, rows, weights)
+    if loss is None:
+        return None
+    for p in params.values():
+        p.grad = None
+    loss.backward(share)
+    return share * loss.item()
+
+
+def _start_child(target, *args, name: str):
+    """A forked process running `target(conn, *args)`, and this side's end
+    of the pipe whose other end is `conn`."""
+    conn, child_conn = _FORK.Pipe()
+    proc = _FORK.Process(target=target, args=(child_conn, *args), name=name)
+    proc.start()
+    child_conn.close()
+    return proc, conn
+
+
+def _receive(proc, conn):
+    """The next object `proc` sends on `conn`. A child that exits without
+    sending one raises ChildProcessError within about a tenth of a second,
+    even when another process holds a copy of the pipe."""
+    while True:
+        if conn.poll(0.1):
+            try:
+                return conn.recv()
+            except EOFError:
+                break
+        elif proc.exitcode is not None and not conn.poll(0):
+            break
+    proc.join()
+    raise ChildProcessError(f"{proc.name} (pid {proc.pid}) exited with code {proc.exitcode} before it replied")
+
+
+def _stop_child(proc, conn) -> None:
+    """Tell the child to stop (a None message), wait for it, and kill it if
+    it has not exited within a second."""
+    with contextlib.suppress(OSError):
+        conn.send(None)
+    proc.join(1.0)
+    if proc.exitcode is None:
+        proc.kill()
+        proc.join()
+    conn.close()
+
+
+class _Helper:
+    """A forked process that runs the second half of each sharded step of
+    one fit. The weights it reads and the gradient it writes live in one
+    shared anonymous mmap; the pipe carries each half's rows and share one
+    way and its weighted loss (or None, or the error it raised) back."""
+
+    def __init__(self, params, model_cfg, x, y, weights):
+        n = sum(p.data.size for p in params.values())
+        shared = np.frombuffer(mmap.mmap(-1, 16 * n))
+        self.weights, self.grad = shared[:n], shared[n:]
+        self.grads = ad.views(self.grad, params)
+        self.proc, self.conn = _start_child(self._serve, params, model_cfg, x, y, weights, name="tabnsa-shard")
+
+    def _serve(self, conn, params, model_cfg, x, y, weights) -> None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the fit's own thread handles an interrupt
+        # this process's copies of the parameters read the shared weights
+        for p, w in zip(params.values(), ad.views(self.weights, params)):
+            p.data = w
+        while (task := conn.recv()) is not None:
+            rows, share = task
+            try:
+                loss = _tape(params, model_cfg, x[rows], y, rows, weights, share)
+                if loss is not None:
+                    ad.flatten((grad_or_zero(p) for p in params.values()), out=self.grad)
+            except Exception as err:
+                loss = err
+            conn.send(loss)
+
+    def start(self, params, rows, share: float) -> None:
+        ad.flatten((p.data for p in params.values()), out=self.weights)
+        self.conn.send((rows, share))
+
+    def result(self) -> float | None:
+        loss = _receive(self.proc, self.conn)
+        if isinstance(loss, Exception):
+            raise loss
+        return loss
+
+
+@contextlib.contextmanager
+def _second_halves(params, model_cfg, x, y, weights, batch: int):
+    """A `_Helper` for a fit whose steps of `batch` rows shard, on the main
+    thread of a process with two or more usable cores and the `fork` start
+    method, stopped on exit; else None, and the halves run inline."""
+    if not (_first_shard(model_cfg, batch) < batch and _FORK is not None and model._usable_cores() > 1
+            and threading.current_thread() is threading.main_thread()):
+        yield None
+        return
+    helper = _Helper(params, model_cfg, x, y, weights)
+    try:
+        yield helper
+    finally:
+        _stop_child(helper.proc, helper.conn)
+
+
+def _loss_and_grads(params, model_cfg, x, y, rows, weights, first: int, helper: _Helper | None = None) -> float | None:
     """The loss on `rows` (features `x`) with its gradient in each
     parameter's `.grad`, or None on divergence. With `first` below the
-    batch size, rows [:first] and [first:] run as two tapes over leaves of
-    their own, and the loss and gradients are their size-weighted sums. The
-    second tape runs on the tile pool when this runs on the main thread;
-    the results do not depend on where it runs. Every tape is unreachable
-    once this returns, so no two steps' graphs are ever alive together."""
+    batch size, rows [:first] and [first:] run as two tapes, and the loss
+    and gradients are their size-weighted sums, added in shard order. The
+    second tape runs on `helper` while this thread runs the first, or
+    inline before it; the results do not depend on where it runs. With a
+    helper, this returns or raises only once both halves have ended."""
     n = rows.size
     if first == n:
-        loss = _batch_loss(params, model_cfg, x, y, rows, weights)
-        if loss is None:
-            return None
-        for p in params.values():
-            p.grad = None
-        loss.backward()
-        return float(loss.item())
-
-    def shard(part: slice):
-        leaves = ad.alias_leaves(params)
-        loss = _batch_loss(leaves, model_cfg, x[part], y, rows[part], weights)
-        if loss is None:
-            return None
-        share = (part.stop - part.start) / n
-        loss.backward(share)
-        return share * loss.item(), leaves
-
-    halves = (slice(0, first), slice(first, n))
-    pool = _tile_pool() if threading.current_thread() is threading.main_thread() else None
-    if pool is None:
-        results = [shard(half) for half in halves]
+        return _tape(params, model_cfg, x, y, rows, weights, 1.0)
+    second, share = slice(first, n), (n - first) / n
+    if helper is None:
+        loss1 = _tape(params, model_cfg, x[second], y, rows[second], weights, share)
+        grads1 = [p.grad for p in params.values()]
     else:
-        second = pool.submit(shard, halves[1])
-        try:
-            results = [shard(halves[0])]
-        finally:
-            wait((second,))  # the second tape reads the weights until it ends
-        results.append(second.result())
-    if None in results:
+        helper.start(params, rows[second], share)
+    try:
+        loss0 = _tape(params, model_cfg, x[:first], y, rows[:first], weights, first / n)
+    finally:
+        if helper is not None:
+            loss1, grads1 = helper.result(), helper.grads
+    if loss0 is None or loss1 is None:
         return None
-    (loss0, leaves0), (loss1, leaves1) = results
-    for name, p in params.items():  # both tapes reach the same parameters
-        g0 = leaves0[name].grad
-        p.grad = None if g0 is None else g0 + leaves1[name].grad
+    for p, g1 in zip(params.values(), grads1):  # both tapes reach the same parameters
+        p.grad = None if p.grad is None else p.grad + g1
     return loss0 + loss1
 
 
-def _adamw_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch) -> None:
+def _adamw_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch, helper) -> None:
     """One seeded shuffled mini-batch pass per epoch."""
     opt = AdamW(params, cfg.lr, cfg.adamw)
     rng = np.random.default_rng(cfg.seed)
@@ -433,7 +533,7 @@ def _adamw_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch)
         running = 0.0
         for bi, start in enumerate(range(0, n, cfg.batch_size)):
             rows = perm[start:start + cfg.batch_size]
-            loss = _loss_and_grads(params, model_cfg, x[rows], y, rows, weights, first_shard(rows.size))
+            loss = _loss_and_grads(params, model_cfg, x[rows], y, rows, weights, first_shard(rows.size), helper)
             if loss is None:
                 raise NanLossError(epoch, bi)
             opt.step()
@@ -446,7 +546,7 @@ class _NonFiniteProbe(Exception):
     """A full-batch loss probe went non-finite."""
 
 
-def _lbfgs_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch) -> None:
+def _lbfgs_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch, helper) -> None:
     """One accepted full-batch step of scipy's L-BFGS-B per epoch. A
     non-finite loss before the first accepted step is divergence in the
     first batch of epoch 1; after it, such a loss just ends training."""
@@ -458,7 +558,7 @@ def _lbfgs_epochs(params, model_cfg, x, y, weights, cfg: TrainConfig, end_epoch)
 
     def closure(vec):
         ad.unflatten(params, vec)
-        loss = _loss_and_grads(params, model_cfg, x, y, rows, weights, first)
+        loss = _loss_and_grads(params, model_cfg, x, y, rows, weights, first, helper)
         if loss is None:
             raise _NonFiniteProbe
         return loss, ad.flatten(grad_or_zero(p) for p in params.values())
@@ -510,8 +610,10 @@ def fit(params: dict, model_cfg: ModelConfig, split: DatasetSplit, cfg: TrainCon
         metric_hist.append(val_metric)
         return stopper.update(epoch, val_loss, params)
 
-    run_epochs = _lbfgs_epochs if cfg.optimizer == "lbfgs" else _adamw_epochs
-    run_epochs(params, model_cfg, x_tr, y_tr, weights, cfg, end_epoch)
+    lbfgs = cfg.optimizer == "lbfgs"
+    batch = x_tr.shape[0] if lbfgs else min(cfg.batch_size, x_tr.shape[0])
+    with _second_halves(params, model_cfg, x_tr, y_tr, weights, batch) as helper:
+        (_lbfgs_epochs if lbfgs else _adamw_epochs)(params, model_cfg, x_tr, y_tr, weights, cfg, end_epoch, helper)
     if train_hist and stopper.best_epoch == 0:
         raise NanLossError(len(train_hist))
     stopper.restore(params)

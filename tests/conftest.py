@@ -1,6 +1,22 @@
-"""Shared test helpers: finite-difference gradient checks over parameter dicts."""
+"""Shared test helpers: finite-difference gradient checks over parameter
+dicts, and a check that no test leaves a child process running."""
+
+import multiprocessing
 
 import numpy as np
+import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail a test that leaves a child process (a sharded fit's helper, a
+    search's trial child) running, after stopping it."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.kill()
+        proc.join()
+    assert not left, f"child processes left running: {left}"
 
 
 def fd_param_check(loss_fn, params, rng, samples=5, h=1e-5, tol=1e-4, names=None):

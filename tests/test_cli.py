@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -616,6 +617,18 @@ class TestAblateCommand:
         rows = list(csv.DictReader(open(os.path.join(out, "ablation_sparse_params.csv"))))
         assert [r["value"] for r in rows if r["parameter"] == "compress_block"] == ["8", "16"]
         assert [r["value"] for r in rows if r["parameter"] == "select_block"] == ["2", "4"]
+
+    def test_sparse_params_warns_once_per_clamped_row(self, toy_csv, tmp_path, capsys):
+        # 6 tokens in selection blocks of 2 leave 3 blocks: only the num_selected 4 row clamps
+        p = tmp_path / "one_epoch.json"
+        p.write_text(json.dumps({"model": {"nsa": {"heads": 2, "head_dim": 4}}, "train": {"max_epochs": 1}}))
+        argv = ["ablate", "--config", str(p), "--csv", toy_csv, "--target", "label", "--out", str(tmp_path / "abl")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--what", "sparse_params", "--seeds", "0,1"]) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines() if "clamping" in line]
+        assert warned == ["config warning: model: num_selected 4 > 3 selection blocks; clamping"]
+        assert [str(w.message) for w in caught if "clamping" in str(w.message)] == []
 
     @staticmethod
     def sweep_configs(cfg):

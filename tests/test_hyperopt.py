@@ -4,6 +4,8 @@ leakage instrumentation, and the refit protocol."""
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 import tabnsa.hyperopt as hyperopt
+import tabnsa.model as model
 import tabnsa.training as training
 from tabnsa.data import make_two_gaussians
 from tabnsa.hyperopt import (
@@ -26,8 +29,8 @@ from tabnsa.hyperopt import (
     run_trial,
     sample_config,
 )
-from tabnsa.model import ModelConfig, count_flops, count_params, param_shapes
-from tabnsa.training import NanLossError, TrainConfig
+from tabnsa.model import ModelConfig, count_flops, count_params, init_model_params, param_shapes
+from tabnsa.training import NanLossError, TrainConfig, predict_proba
 
 from test_training import make_split
 
@@ -146,8 +149,8 @@ class TestRunSearch:
     def test_trials_reproducible_and_order_free(self, gaussian_split, monkeypatch):
         # the second pass puts every step in two half-batch tapes: a lone
         # worker's trials run on this thread and, on more than one core, hand
-        # second shards to the tile pool, while three workers' trials run
-        # them inline
+        # second halves to a helper process, while three workers' trials fit
+        # in forked children that run them inline
         for shard_flops in (training.SHARD_FLOPS, 0):
             monkeypatch.setattr(training, "SHARD_FLOPS", shard_flops)
             monkeypatch.delenv(hyperopt.THREADS_ENV_VAR, raising=False)
@@ -161,6 +164,46 @@ class TestRunSearch:
                 assert a.val_metric == b.val_metric
                 assert a.seed == b.seed
             assert best1.trial_id == best2.trial_id
+
+    def test_parallel_trials_fit_in_children_within_the_core_budget(self, gaussian_split, monkeypatch, tmp_path):
+        log = tmp_path / "fits"  # one line per trial fit, from whichever process ran it
+        log.touch()
+        caller, real_fit = os.getpid(), training.fit
+        diverging = derive_trial_seed(9, 1)
+
+        def recording_fit(params, model_cfg, split, cfg):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid() != caller} {model._usable_cores()}\n")
+            if cfg.seed == diverging:
+                raise NanLossError(2, 1)  # crosses the pipe as itself
+            return real_fit(params, model_cfg, split, cfg)
+
+        monkeypatch.setattr(training, "fit", recording_fit)
+        _, records = run_search(gaussian_split, NARROW_SPACE, 3, seed=9, base_train=FAST_TRAIN, max_workers=2)
+        budget = max(1, model._usable_cores() // 2)
+        assert log.read_text().splitlines() == [f"True {budget}"] * 3
+        assert [r.val_metric == 0.0 for r in records] == [False, True, False]
+        assert multiprocessing.active_children() == []
+
+    def test_a_wrapped_fit_gets_the_weights_trained_in_its_trial_child(self, gaussian_split, monkeypatch):
+        """perfbench's `tune` wraps `hyperopt.fit` to keep each trial's
+        weights; the weights a parallel search trains in its children come
+        back into the very dicts the wrapper saw."""
+        fitted = {}
+        fit = hyperopt.fit
+
+        def keep_fitted(params, model_cfg, split, cfg):
+            fitted[cfg.seed] = (params, model_cfg)
+            return fit(params, model_cfg, split, cfg)
+
+        monkeypatch.setattr(hyperopt, "fit", keep_fitted)
+        best, _ = run_search(gaussian_split, NARROW_SPACE, 3, seed=9, base_train=FAST_TRAIN, max_workers=2)
+        kept, model_cfg = fitted[best.seed]
+        rng, drawn, train_cfg = hyperopt._draw_trial(best.trial_id, gaussian_split, NARROW_SPACE, 9, None, FAST_TRAIN)
+        assert drawn == model_cfg
+        here, _ = training.fit(init_model_params(drawn, rng), drawn, gaussian_split, train_cfg)
+        x = gaussian_split.val[0].values
+        assert predict_proba(kept, model_cfg, x).tobytes() == predict_proba(here, drawn, x).tobytes()
 
     @pytest.mark.parametrize("source, value", [("argument", 0), ("argument", -2), ("env", "0")])
     def test_non_positive_worker_count_fails_before_any_trial(self, source, value, gaussian_split, monkeypatch):

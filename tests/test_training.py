@@ -5,8 +5,10 @@ import contextlib
 import dataclasses
 import gc
 import json
+import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
 import textwrap
@@ -23,7 +25,7 @@ import pytest
 from conftest import fd_param_check
 from loss_oracle import composed_weighted_cross_entropy
 from tabnsa import autodiff as ad
-from tabnsa import model, training
+from tabnsa import hyperopt, model, training
 from tabnsa.autodiff import Tensor
 from tabnsa.data import DatasetSplit, FeatureMatrix, LabelVector, class_weights, make_two_gaussians
 from tabnsa.model import TILE_ROWS, ModelConfig, forward, init_model_params
@@ -421,7 +423,7 @@ class TestFitAdamW:
 
     @pytest.mark.parametrize("optimizer", ["adamw", "lbfgs"])
     @pytest.mark.parametrize("case", ["caller_bug", "infinite_start", "second_shard"])
-    def test_only_non_finite_values_count_as_divergence(self, optimizer, case, monkeypatch):
+    def test_only_non_finite_values_count_as_divergence(self, optimizer, case, monkeypatch, tmp_path):
         cfg = TrainConfig(optimizer=optimizer, batch_size=32, max_epochs=3, seed=3)
         if case == "caller_bug":
             # parameters of another model: forward's error propagates, it is not divergence
@@ -442,12 +444,14 @@ class TestFitAdamW:
             batch = np.random.default_rng(cfg.seed).permutation(n)[:32] if optimizer == "adamw" else np.arange(n)
             x[batch[-1], 0] = 1e300
             split = make_split(x, y)
-            shards = []
-            real_loss = training._batch_loss
+            log = tmp_path / "shards"  # one line per half, from whichever process ran it
+            log.touch()
+            caller, real_loss = os.getpid(), training._batch_loss
 
             def batch_loss(*args):
                 loss = real_loss(*args)
-                shards.append(loss is not None)
+                with open(log, "a") as fh:
+                    fh.write(f"{'caller' if os.getpid() == caller else 'helper'} {loss is not None}\n")
                 return loss
 
             monkeypatch.setattr(training, "_batch_loss", batch_loss)
@@ -455,7 +459,9 @@ class TestFitAdamW:
             fit(params, self.model_cfg, split, cfg)
         assert (err.value.epoch, err.value.batch_index) == (1, 0)
         if case == "second_shard":
-            assert sorted(shards) == [False, True]  # the first shard's loss was finite
+            # the first half's loss was finite; on two cores the helper ran the second
+            second = "helper" if model._usable_cores() > 1 else "caller"
+            assert sorted(log.read_text().splitlines()) == sorted(["caller True", f"{second} False"])
 
     def test_returned_weights_reproduce_best_val_loss(self):
         params, hist = self.run_fit(seed=11, max_epochs=12, patience=4)
@@ -968,7 +974,10 @@ class TestOneTapePerStep:
     def test_later_fits_reuse_resident_memory(self):
         """With only numpy and tabnsa imported, a fit after the first keeps
         its steps' tapes in pages that are already resident: without the
-        heap reserve every step's tape is unmapped and faulted back in."""
+        heap reserve every step's tape is unmapped and faulted back in. The
+        default geometry's steps shard, so on two cores each fit forks a
+        helper, and the fit and its helper each copy the pages they write
+        once after the fork; more epochs must add no faults in either."""
         script = textwrap.dedent("""
             import resource, sys
             import numpy as np
@@ -983,26 +992,31 @@ class TestOneTapePerStep:
             val = (table.take(va), labels.take(va))
             split = data.DatasetSplit((table.take(tr), labels.take(tr)), val, val, 0)
             cfg = model.ModelConfig(nsa=NSAConfig(), num_tokens=15)
-            faults = []
-            for _ in range(2):
+            def faults():
+                return [resource.getrusage(who).ru_minflt for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)]
+
+            counts = []
+            for epochs in (3, 3, 6):
                 params = model.init_model_params(cfg, 0)
-                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                training.fit(params, cfg, split, training.TrainConfig(max_epochs=3, patience=3))
-                faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-            print(*faults)
+                before = faults()
+                training.fit(params, cfg, split, training.TrainConfig(max_epochs=epochs, patience=epochs))
+                counts.append([after - b for after, b in zip(faults(), before)])
+            print(*counts[1], *counts[2])
         """)
         src = str(Path(model.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=180)
         assert done.returncode == 0, done.stderr
-        first, second = map(int, done.stdout.split())
-        assert second < 500, f"second fit took {second} minor faults (first {first})"
+        fit3, helper3, fit6, helper6 = map(int, done.stdout.split())
+        assert fit6 - fit3 < 500, f"the second fit took {fit3} minor faults over 3 epochs, the third {fit6} over 6"
+        assert helper6 - helper3 < 500, f"its helpers took {helper3} and {helper6}"
 
 
 class TestShardedStep:
     """A step whose half batch reaches SHARD_FLOPS forward FLOPs runs as two
-    half-batch tapes over leaves of their own; their size-weighted sum is one
-    tape's loss and gradient up to rounding, wherever the shards run."""
+    half-batch tapes, the second on a helper process or inline; their
+    size-weighted sum is one tape's loss and gradient up to rounding,
+    wherever the shards run."""
 
     @staticmethod
     def batch(regression, rows, seed=21):
@@ -1039,17 +1053,26 @@ class TestShardedStep:
         cfg = tiny_model_config()
         assert [training._first_shard(cfg, rows) for rows in (1, 2, 3)] == [1, 1, 2]
 
-    def test_default_geometry_steps_stay_one_tape_and_mid_ones_shard(self):
-        assert training._first_shard(benchmark_config(), 32) == 32
+    def test_default_geometry_batch_32_and_mid_steps_shard_on_the_helper(self):
+        assert training._first_shard(benchmark_config(), 8) == 8  # 0.55 MFLOP per half
+        assert training._first_shard(benchmark_config(), 32) == 16  # 2.2 MFLOP per half
         assert training._first_shard(benchmark_config(False, 4, 24, 8), 64) == 32
+        x, y, weights = self.batch(False, 32)
+        params = init_model_params(benchmark_config(), 0)
+        with usable_cores(2):
+            for batch, forks in ((8, False), (32, True)):
+                with training._second_halves(params, benchmark_config(), x, y, weights, batch) as helper:
+                    assert (helper is not None) == forks
+                    assert multiprocessing.active_children() == ([helper.proc] if forks else [])
 
     @pytest.mark.parametrize("failing", [0, 1])
-    def test_an_error_in_either_shard_propagates_after_both_finish(self, failing, monkeypatch):
+    def test_an_error_in_either_shard_propagates_after_both_finish(self, failing, monkeypatch, tmp_path):
         monkeypatch.setattr(training, "SHARD_FLOPS", 0)
         cfg = tiny_model_config()
         x, y, weights = self.batch(False, 32)
         params = init_model_params(cfg, 22)
-        finished = []
+        finished = tmp_path / "finished"  # written by the helper for shard 1
+        finished.touch()
         real_loss = training._batch_loss
 
         def batch_loss(params, model_cfg, x, y, rows, weights):
@@ -1058,14 +1081,73 @@ class TestShardedStep:
                 raise RuntimeError(f"shard {shard} failed")
             time.sleep(0.2)  # still running when the other shard fails
             loss = real_loss(params, model_cfg, x, y, rows, weights)
-            finished.append(shard)
+            with open(finished, "a") as fh:
+                fh.write(f"{shard}\n")
             return loss
 
         monkeypatch.setattr(training, "_batch_loss", batch_loss)
-        with usable_cores(2):  # whose exit waits for the pool's tasks
+        with usable_cores(2), training._second_halves(params, cfg, x, y, weights, 32) as helper:
             with pytest.raises(RuntimeError, match=f"shard {failing} failed"):
-                training._loss_and_grads(params, cfg, x, y, np.arange(32), weights, 16)
-            assert finished == [1 - failing]
+                training._loss_and_grads(params, cfg, x, y, np.arange(32), weights, 16, helper)
+            assert finished.read_text().split() == [str(1 - failing)]
+
+    def test_a_fit_aborted_from_the_optimizer_step_leaves_no_child(self, monkeypatch):
+        """perfbench's `stop_at` ends a timed fit by raising from a wrapped
+        `AdamW.step`; the helper must go with the fit, and the next fit run."""
+        monkeypatch.setattr(training, "SHARD_FLOPS", 0)
+        x, y = make_two_gaussians(80, 4, seed=6)
+        split = make_split(x, y)
+        cfg = tiny_model_config()
+        train_cfg = TrainConfig(lr=5e-3, batch_size=16, max_epochs=2, patience=2, seed=1)
+        helpers = []  # the children alive at each step
+        step = AdamW.step
+
+        class TimeUp(Exception):
+            pass
+
+        def stop_at_third(opt):
+            step(opt)
+            helpers.append(len(multiprocessing.active_children()))
+            if opt.t == 3:
+                raise TimeUp
+
+        with usable_cores(2):
+            monkeypatch.setattr(AdamW, "step", stop_at_third)
+            with pytest.raises(TimeUp):
+                fit(init_model_params(cfg, 0), cfg, split, train_cfg)
+            assert helpers == [1, 1, 1]
+            assert multiprocessing.active_children() == []
+            monkeypatch.setattr(AdamW, "step", step)
+            _, hist = fit(init_model_params(cfg, 0), cfg, split, train_cfg)
+        assert len(hist.train_loss) == 2
+
+    def test_a_helper_that_dies_mid_step_fails_the_step_promptly(self, monkeypatch):
+        monkeypatch.setattr(training, "SHARD_FLOPS", 0)
+        x, y = make_two_gaussians(80, 4, seed=6)
+        split = make_split(x, y)
+        cfg = tiny_model_config()
+        caller, real_loss = os.getpid(), training._batch_loss
+
+        def batch_loss(*args):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_loss(*args)
+
+        monkeypatch.setattr(training, "_batch_loss", batch_loss)
+        start = time.perf_counter()
+        with usable_cores(2), pytest.raises(ChildProcessError, match=r"tabnsa-shard \(pid \d+\) exited with code -9"):
+            fit(init_model_params(cfg, 0), cfg, split, TrainConfig(batch_size=16, max_epochs=2, seed=1))
+        assert time.perf_counter() - start < 10
+        # a child that exits in silence while another process holds its pipe open
+        conn, child_end = training._FORK.Pipe()
+        proc = training._FORK.Process(target=os._exit, args=(3,), name="silent")
+        proc.start()
+        start = time.perf_counter()
+        with pytest.raises(ChildProcessError, match=r"silent \(pid \d+\) exited with code 3 before it replied"):
+            training._receive(proc, conn)
+        assert time.perf_counter() - start < 10
+        conn.close()
+        child_end.close()
 
     @pytest.mark.parametrize("optimizer", ["adamw", "lbfgs"])
     def test_fit_bytes_depend_on_neither_cores_nor_thread(self, optimizer, monkeypatch):
@@ -1074,33 +1156,41 @@ class TestShardedStep:
         split = make_split(x, y)
         cfg = tiny_model_config()
         train_cfg = TrainConfig(optimizer=optimizer, lr=5e-3, batch_size=16, max_epochs=3, patience=3, seed=1)
-        threads = []  # the thread of every forward
+        taped = []  # one entry per forward with a tape that this process runs
         real_forward = training.forward
 
         def spy(*args, **kwargs):
-            threads.append(threading.current_thread().name)
+            if ad._grad_enabled():
+                taped.append(1)
             return real_forward(*args, **kwargs)
 
         monkeypatch.setattr(training, "forward", spy)
 
-        def run(out):
+        def run(out, fit=fit):
             params = init_model_params(cfg, 0)
             _, hist = fit(params, cfg, split, train_cfg)
             out.append((ad.flatten(p.data for p in params.values()).tobytes(), hist.to_jsonl()))
 
-        runs, pooled = {}, {}
-        for where in (1, 2, 3, "thread"):
-            threads.clear()
+        def trial(out):  # a trial thread of a parallel search with a budget of one core
+            hyperopt._TRIAL.cores = 1
+            run(out, hyperopt.fit)
+
+        runs, tapes = {}, {}
+        for where in (1, 2, 3, "thread", "trial"):
+            taped.clear()
             out = []
-            with usable_cores(2 if where == "thread" else where):
-                if where == "thread":
-                    worker = threading.Thread(target=run, args=(out,))
+            # a trial child counts the cores of its own budget
+            cores = contextlib.nullcontext() if where == "trial" else usable_cores(2 if where == "thread" else where)
+            with cores:
+                if where in ("thread", "trial"):
+                    worker = threading.Thread(target=run if where == "thread" else trial, args=(out,))
                     worker.start()
                     worker.join(timeout=120)
                     assert not worker.is_alive()
                 else:
                     run(out)
             (runs[where],) = out
-            pooled[where] = any(name.startswith("tabnsa-tile") for name in threads)
-        assert pooled == {1: False, 2: True, 3: True, "thread": False}
+            tapes[where] = len(taped)
+        # the helper runs every second half on 2 and 3 cores; a trial child runs them all
+        assert {where: n / tapes[1] for where, n in tapes.items()} == {1: 1, 2: 0.5, 3: 0.5, "thread": 1, "trial": 0}
         assert all(r == runs[1] for r in runs.values())
