@@ -186,17 +186,17 @@ def apply_flag_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _built(field: str, cls, fields: dict, warn: bool = True):
+def _built(field: str, cls, fields: dict):
     """`cls(**fields)`, with a value the dataclass rejects reported as a
     ConfigError at `field`, and a warning it gives (a clamped num_selected)
-    printed as a config warning at `field` when `warn` is set."""
+    printed as a config warning at `field`."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
             built = cls(**fields)
         except (TypeError, ValueError) as err:
             raise ConfigError(field, str(err))
-    for w in caught if warn else ():
+    for w in caught:
         print(f"config warning: {field}: {w.message}", file=sys.stderr)
     return built
 
@@ -218,7 +218,7 @@ def build_search(search_cfg: dict) -> tuple[SearchSpace, int]:
     return _built("search.space", SearchSpace, space), search_cfg["budget"]
 
 
-def build_model_config(cfg: dict, split: DatasetSplit | None, warn: bool = True) -> ModelConfig:
+def build_model_config(cfg: dict, split: DatasetSplit | None) -> ModelConfig:
     model = dict(cfg["model"])
     nsa = build_nsa_config(model.pop("nsa"))
     shape = {name: model.pop(name) for name in SHAPE_FIELDS}
@@ -233,7 +233,17 @@ def build_model_config(cfg: dict, split: DatasetSplit | None, warn: bool = True)
         raise ConfigError("model.num_tokens", "required when no dataset is given")
     # a null num_classes or regression takes ModelConfig's default
     shape = {name: value for name, value in shape.items() if value is not None}
-    return _built("model", ModelConfig, {**model, **shape, "nsa": nsa}, warn)
+    return _built("model", ModelConfig, {**model, **shape, "nsa": nsa})
+
+
+def _model_config_for(cfg: dict, split: DatasetSplit, built: dict) -> ModelConfig:
+    """`build_model_config(cfg, split)`, built and kept in `built` once per
+    model shape, so its warnings print once: the seeds of one config share
+    a shape unless a seed's preprocessing drops a column."""
+    shape = tuple(split.model_shape().values())
+    if shape not in built:
+        built[shape] = build_model_config(cfg, split)
+    return built[shape]
 
 
 def load_table(cfg: dict):
@@ -316,10 +326,9 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _train_once(cfg: dict, split: DatasetSplit, seed: int, warn: bool):
+def _train_once(cfg: dict, model_cfg: ModelConfig, split: DatasetSplit, seed: int):
     """One seed of the train pipeline on its prepared split: fit, then score
-    the test set once. `warn` prints the model config's warnings."""
-    model_cfg = build_model_config(cfg, split, warn)
+    the test set once."""
     train_cfg = dataclasses.replace(build_train_config(cfg["train"]), seed=seed)
     params, history = fit_model(model_cfg, split, train_cfg, seed)
     report = evaluation_report(params, model_cfg, *split.test)
@@ -335,7 +344,7 @@ def _train_once(cfg: dict, split: DatasetSplit, seed: int, warn: bool):
         "param_count": count_params(model_cfg),
         "flops_per_row": total_flops,
     }
-    return summary, params, history, model_cfg
+    return summary, params, history
 
 
 def _aggregate(reports: list[dict]) -> dict:
@@ -372,10 +381,11 @@ def _search(cfg: dict, split: DatasetSplit, template: ModelConfig, out_dir: str,
 def cmd_train(args: argparse.Namespace, cfg: dict) -> dict:
     seeds = parse_seeds(args.seeds)
     raw = load_table(cfg)
-    summaries = []
+    summaries, built = [], {}
     for seed in seeds:
         split, state = prepare_dataset(raw, seed)
-        summary, params, history, model_cfg = _train_once(cfg, split, seed, warn=seed == seeds[0])
+        model_cfg = _model_config_for(cfg, split, built)
+        summary, params, history = _train_once(cfg, model_cfg, split, seed)
         summaries.append(summary)
         tag = f"s{seed}"
         _write_json(args.out, f"report_{tag}.json", summary)
@@ -503,13 +513,15 @@ def cmd_ablate(args: argparse.Namespace, cfg: dict) -> dict:
     sweep = []
     for parameter, value, overrides in _ablate_settings(args.what, cfg):
         merged = _merge(cfg, overrides, "")
-        build_model_config(merged, splits[0])
+        built = {}
+        model_cfgs = [_model_config_for(merged, split, built) for split in splits]
         build_train_config(merged["train"])
-        sweep.append((parameter, value, merged))
+        sweep.append((parameter, value, merged, model_cfgs))
     header = ["parameter", "value", "metric_name", "mean", "std", "n_seeds"]
     rows = []
-    for parameter, value, merged in sweep:
-        reports = [_train_once(merged, split, seed, warn=False)[0] for split, seed in zip(splits, seeds)]
+    for parameter, value, merged, model_cfgs in sweep:
+        reports = [_train_once(merged, model_cfg, split, seed)[0]
+                   for model_cfg, split, seed in zip(model_cfgs, splits, seeds)]
         metric = next((name for name in ("rmse", "auc") if reports[0]["test"][name] is not None), "macro_f1")
         stats = _aggregate(reports)["metrics"][metric]
         rows.append({"parameter": parameter, "value": value, "metric_name": metric,

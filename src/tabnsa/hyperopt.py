@@ -11,7 +11,8 @@ recomputed in any order, including across worker threads. With more than
 one worker, each trial's fit runs in a process forked from its worker
 thread, which may use `max(1, cores // workers)` cores for its tile pool
 and sharded steps; the trained weights come back into the caller's
-parameters.
+parameters. A process that may not fork (`forking.can_fork`) fits its
+trials on the worker threads.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import model, training
+from . import forking, training
 from .data import DatasetSplit
 from .model import ModelConfig, count_flops, count_params, init_model_params
 from .nsa_attention import NSAConfig
-from .training import NanLossError, TrainConfig, _receive, _start_child, _stop_child, evaluation_report
+from .training import NanLossError, TrainConfig, evaluation_report
 
 THREADS_ENV_VAR = "TABNSA_THREADS"
 
@@ -142,18 +143,19 @@ _TRIAL = threading.local()
 
 
 def fit(params: dict, model_cfg: ModelConfig, split: DatasetSplit, train_cfg: TrainConfig):
-    """`training.fit`. On a trial worker thread of a parallel search it runs
-    in a forked child whose tile pool and sharded steps use at most that
-    thread's core budget; the trained weights are copied back into `params`
-    in place, and the child's error, a NanLossError say, is raised here."""
+    """`training.fit`. On a trial worker thread of a parallel search, in a
+    process that may fork (`forking.can_fork`), it runs in a forked child
+    whose tile pool and sharded steps use at most that thread's core
+    budget; the trained weights are copied back into `params` in place, and
+    the child's error, a NanLossError say, is raised here."""
     cores = getattr(_TRIAL, "cores", None)
-    if cores is None or training._FORK is None:
+    if cores is None or not forking.can_fork():
         return training.fit(params, model_cfg, split, train_cfg)
-    proc, conn = _start_child(_fit_child, params, model_cfg, split, train_cfg, cores, name="tabnsa-trial")
+    proc, conn = forking.start_child(_fit_child, params, model_cfg, split, train_cfg, cores, name="tabnsa-trial")
     try:
-        reply = _receive(proc, conn)
+        reply = forking.receive(proc, conn)
     finally:
-        _stop_child(proc, conn)
+        forking.stop_child(proc, conn)
     if isinstance(reply, Exception):
         raise reply
     weights, hist = reply
@@ -162,7 +164,7 @@ def fit(params: dict, model_cfg: ModelConfig, split: DatasetSplit, train_cfg: Tr
 
 
 def _fit_child(conn, params, model_cfg, split, train_cfg, cores: int) -> None:
-    model._CORE_BUDGET = cores
+    forking.set_core_budget(cores)
     try:
         _, hist = training.fit(params, model_cfg, split, train_cfg)
         reply = ad.flatten(p.data for p in params.values()), hist
@@ -309,7 +311,7 @@ def run_search(
         return run_trial(trial_id, split, space, seed, model_template, base_train)
 
     fresh = []
-    cores = max(1, model._usable_cores() // workers)
+    cores = max(1, forking.usable_cores() // workers)
     # each worker thread's trials fit in forked children within its core budget
     with ThreadPoolExecutor(workers, initializer=setattr, initargs=(_TRIAL, "cores", cores)) as pool:
         # both maps yield in trial-id order, whatever order trials finish in;

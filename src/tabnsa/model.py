@@ -33,6 +33,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import autodiff as ad
+from . import forking
 from .autodiff import Tensor
 from .nsa_attention import NSAConfig, nsa_forward, nsa_param_specs
 from .tabmixer import tabmixer_forward, tabmixer_param_specs
@@ -63,26 +64,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_tile_pool)
 
 
-# the most cores this process may use: a trial child of a parallel search
-# (`hyperopt.fit`) sets its share, and None means all it may run on
-_CORE_BUDGET: int | None = None
-
-
-def _usable_cores() -> int:
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cores = os.cpu_count() or 1
-    return cores if _CORE_BUDGET is None else min(cores, _CORE_BUDGET)
-
-
 def _tile_pool() -> ThreadPoolExecutor | None:
     """The shared tile pool, one thread per usable core; None on one core.
     A tile task never submits work to it, so concurrent callers cannot
     deadlock on it."""
     global _TILE_POOL
     with _TILE_POOL_LOCK:
-        if _TILE_POOL is None and (cores := _usable_cores()) > 1:
+        if _TILE_POOL is None and (cores := forking.usable_cores()) > 1:
             _TILE_POOL = ThreadPoolExecutor(cores, thread_name_prefix="tabnsa-tile")
         return _TILE_POOL
 

@@ -8,8 +8,10 @@ with its strong-Wolfe line search). The target picks the loss:
 class-weighted cross-entropy for a label, MSE for a number. A step whose
 half batch reaches `SHARD_FLOPS` forward FLOPs runs as two half-batch
 tapes. A fit on the main thread of a process with two or more usable cores
-forks one helper process for its life, which runs each step's second half
-while the calling thread runs the first; elsewhere the halves run inline.
+that may fork (not a daemonic one, such as a `multiprocessing.Pool`
+worker) forks one helper process for its life, which runs each step's
+second half while the calling thread runs the first; elsewhere the halves
+run inline.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import json
 import mmap
-import multiprocessing
 import signal
 import threading
 from dataclasses import dataclass, field
@@ -26,7 +27,7 @@ from functools import cache, partial
 import numpy as np
 
 from . import autodiff as ad
-from . import metrics, model
+from . import forking, metrics
 from .autodiff import Tensor
 from .data import DatasetSplit, FeatureMatrix, LabelVector, class_weights
 from .model import ModelConfig, count_flops, forward
@@ -37,9 +38,6 @@ OPTIMIZERS = ("adamw", "lbfgs")
 # half-batch tapes; below it handing a half to the helper process costs more
 # than a second core saves (the sweep is in README "Training")
 SHARD_FLOPS = 1_000_000
-
-# the start method of a sharded fit's helper process; None where there is none
-_FORK = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
 
 
 class NanLossError(RuntimeError):
@@ -400,44 +398,6 @@ def _tape(params, model_cfg, x, y, rows, weights, share: float) -> float | None:
     return share * loss.item()
 
 
-def _start_child(target, *args, name: str):
-    """A forked process running `target(conn, *args)`, and this side's end
-    of the pipe whose other end is `conn`."""
-    conn, child_conn = _FORK.Pipe()
-    proc = _FORK.Process(target=target, args=(child_conn, *args), name=name)
-    proc.start()
-    child_conn.close()
-    return proc, conn
-
-
-def _receive(proc, conn):
-    """The next object `proc` sends on `conn`. A child that exits without
-    sending one raises ChildProcessError within about a tenth of a second,
-    even when another process holds a copy of the pipe."""
-    while True:
-        if conn.poll(0.1):
-            try:
-                return conn.recv()
-            except EOFError:
-                break
-        elif proc.exitcode is not None and not conn.poll(0):
-            break
-    proc.join()
-    raise ChildProcessError(f"{proc.name} (pid {proc.pid}) exited with code {proc.exitcode} before it replied")
-
-
-def _stop_child(proc, conn) -> None:
-    """Tell the child to stop (a None message), wait for it, and kill it if
-    it has not exited within a second."""
-    with contextlib.suppress(OSError):
-        conn.send(None)
-    proc.join(1.0)
-    if proc.exitcode is None:
-        proc.kill()
-        proc.join()
-    conn.close()
-
-
 class _Helper:
     """A forked process that runs the second half of each sharded step of
     one fit. The weights it reads and the gradient it writes live in one
@@ -449,29 +409,30 @@ class _Helper:
         shared = np.frombuffer(mmap.mmap(-1, 16 * n))
         self.weights, self.grad = shared[:n], shared[n:]
         self.grads = ad.views(self.grad, params)
-        self.proc, self.conn = _start_child(self._serve, params, model_cfg, x, y, weights, name="tabnsa-shard")
+        self.proc, self.conn = forking.start_child(self._serve, params, model_cfg, x, y, weights, name="tabnsa-shard")
 
     def _serve(self, conn, params, model_cfg, x, y, weights) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the fit's own thread handles an interrupt
         # this process's copies of the parameters read the shared weights
         for p, w in zip(params.values(), ad.views(self.weights, params)):
             p.data = w
-        while (task := conn.recv()) is not None:
-            rows, share = task
-            try:
-                loss = _tape(params, model_cfg, x[rows], y, rows, weights, share)
-                if loss is not None:
-                    ad.flatten((grad_or_zero(p) for p in params.values()), out=self.grad)
-            except Exception as err:
-                loss = err
-            conn.send(loss)
+        with contextlib.suppress(EOFError, OSError):  # the fitting process is gone
+            while (task := conn.recv()) is not None:
+                rows, share = task
+                try:
+                    loss = _tape(params, model_cfg, x[rows], y, rows, weights, share)
+                    if loss is not None:
+                        ad.flatten((grad_or_zero(p) for p in params.values()), out=self.grad)
+                except Exception as err:
+                    loss = err
+                conn.send(loss)
 
     def start(self, params, rows, share: float) -> None:
         ad.flatten((p.data for p in params.values()), out=self.weights)
         self.conn.send((rows, share))
 
     def result(self) -> float | None:
-        loss = _receive(self.proc, self.conn)
+        loss = forking.receive(self.proc, self.conn)
         if isinstance(loss, Exception):
             raise loss
         return loss
@@ -480,9 +441,10 @@ class _Helper:
 @contextlib.contextmanager
 def _second_halves(params, model_cfg, x, y, weights, batch: int):
     """A `_Helper` for a fit whose steps of `batch` rows shard, on the main
-    thread of a process with two or more usable cores and the `fork` start
-    method, stopped on exit; else None, and the halves run inline."""
-    if not (_first_shard(model_cfg, batch) < batch and _FORK is not None and model._usable_cores() > 1
+    thread of a process that may fork (`forking.can_fork`) and has two or
+    more usable cores, stopped on exit; else None, and the halves run
+    inline."""
+    if not (_first_shard(model_cfg, batch) < batch and forking.can_fork() and forking.usable_cores() > 1
             and threading.current_thread() is threading.main_thread()):
         yield None
         return
@@ -490,7 +452,7 @@ def _second_halves(params, model_cfg, x, y, weights, batch: int):
     try:
         yield helper
     finally:
-        _stop_child(helper.proc, helper.conn)
+        forking.stop_child(helper.proc, helper.conn)
 
 
 def _loss_and_grads(params, model_cfg, x, y, rows, weights, first: int, helper: _Helper | None = None) -> float | None:

@@ -16,6 +16,7 @@ import pytest
 
 import tabnsa.autodiff
 import tabnsa.data
+import tabnsa.forking
 import tabnsa.model
 import tabnsa.nsa_attention
 import tabnsa.tabmixer
@@ -156,7 +157,7 @@ def test_a_sharded_fit_steps_once_per_batch_on_the_calling_thread(monkeypatch):
             raise TimeoutError
 
     monkeypatch.setattr(tabnsa.training, "SHARD_FLOPS", 0)
-    monkeypatch.setattr(tabnsa.model, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(tabnsa.forking, "usable_cores", lambda: 2)
     monkeypatch.setattr(tabnsa.model, "_TILE_POOL", None)
     monkeypatch.setattr(tabnsa.training.AdamW, "step", counting)
     params = init_model_params(config, 0)

@@ -449,6 +449,15 @@ class TestTrainCommand:
         assert cfg.fusion == "c"
         assert cfg.feature_id_embedding is False
 
+    def test_train_warns_once_for_all_seeds(self, toy_csv, tmp_path, capsys):
+        p = tmp_path / "clamped.json"
+        p.write_text(json.dumps({"model": {"nsa": {"heads": 2, "head_dim": 4, "num_selected": 4}},
+                                 "train": {"max_epochs": 1}}))
+        argv = ["train", "--config", str(p), "--csv", toy_csv, "--target", "label", "--out", str(tmp_path / "t")]
+        assert main(argv + ["--seeds", "0,1,2"]) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines() if "clamping" in line]
+        assert warned == ["config warning: model: num_selected 4 > 3 selection blocks; clamping"]
+
 
 class TestRerunIdentity:
     """Every artifact-writing command reruns to the same bytes and stdout."""

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import tabnsa.hyperopt as hyperopt
-import tabnsa.model as model
+import tabnsa.forking as forking
 import tabnsa.training as training
 from tabnsa.data import make_two_gaussians
 from tabnsa.hyperopt import (
@@ -173,14 +173,14 @@ class TestRunSearch:
 
         def recording_fit(params, model_cfg, split, cfg):
             with open(log, "a") as fh:
-                fh.write(f"{os.getpid() != caller} {model._usable_cores()}\n")
+                fh.write(f"{os.getpid() != caller} {forking.usable_cores()}\n")
             if cfg.seed == diverging:
                 raise NanLossError(2, 1)  # crosses the pipe as itself
             return real_fit(params, model_cfg, split, cfg)
 
         monkeypatch.setattr(training, "fit", recording_fit)
         _, records = run_search(gaussian_split, NARROW_SPACE, 3, seed=9, base_train=FAST_TRAIN, max_workers=2)
-        budget = max(1, model._usable_cores() // 2)
+        budget = max(1, forking.usable_cores() // 2)
         assert log.read_text().splitlines() == [f"True {budget}"] * 3
         assert [r.val_metric == 0.0 for r in records] == [False, True, False]
         assert multiprocessing.active_children() == []

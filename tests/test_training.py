@@ -25,7 +25,7 @@ import pytest
 from conftest import fd_param_check
 from loss_oracle import composed_weighted_cross_entropy
 from tabnsa import autodiff as ad
-from tabnsa import hyperopt, model, training
+from tabnsa import forking, hyperopt, model, training
 from tabnsa.autodiff import Tensor
 from tabnsa.data import DatasetSplit, FeatureMatrix, LabelVector, class_weights, make_two_gaussians
 from tabnsa.model import TILE_ROWS, ModelConfig, forward, init_model_params
@@ -460,7 +460,7 @@ class TestFitAdamW:
         assert (err.value.epoch, err.value.batch_index) == (1, 0)
         if case == "second_shard":
             # the first half's loss was finite; on two cores the helper ran the second
-            second = "helper" if model._usable_cores() > 1 else "caller"
+            second = "helper" if forking.usable_cores() > 1 else "caller"
             assert sorted(log.read_text().splitlines()) == sorted(["caller True", f"{second} False"])
 
     def test_returned_weights_reproduce_best_val_loss(self):
@@ -634,7 +634,7 @@ def usable_cores(cores):
     """Run tiled forwards as if the process had `cores` usable cores, with a
     tile pool of their own."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "_usable_cores", lambda: cores)
+        mp.setattr(forking, "usable_cores", lambda: cores)
         mp.setattr(model, "_TILE_POOL", None)
         try:
             yield
@@ -846,11 +846,11 @@ class TestTiledInference:
         template = textwrap.dedent("""
             import multiprocessing
             import numpy as np
-            from tabnsa import model, training
+            from tabnsa import forking, model, training
             from test_training import benchmark_config
 
             cores = {cores}
-            model._usable_cores = lambda: cores  # a pool even on one core
+            forking.usable_cores = lambda: cores  # a pool even on one core
             cfg = benchmark_config()
             params = model.init_model_params(cfg, 0)
             x = np.random.default_rng(11).normal(size=(1000, 15))
@@ -906,7 +906,7 @@ class TestTiledInference:
         only when its tiles overlap in time, so it is no stable baseline."""
         cfg = benchmark_config(False, *geometry)
         params = init_model_params(cfg, 0)
-        workers = model._usable_cores()
+        workers = forking.usable_cores()
         sizes = (TILE_ROWS, 4 * TILE_ROWS) if workers == 1 else (TILE_ROWS, workers * TILE_ROWS, 16 * TILE_ROWS)
         x = np.random.default_rng(4).normal(size=(sizes[-1], 15))
         training.predict_proba(params, cfg, x[:2 * TILE_ROWS])  # builds the index plans and the pool
@@ -1139,12 +1139,12 @@ class TestShardedStep:
             fit(init_model_params(cfg, 0), cfg, split, TrainConfig(batch_size=16, max_epochs=2, seed=1))
         assert time.perf_counter() - start < 10
         # a child that exits in silence while another process holds its pipe open
-        conn, child_end = training._FORK.Pipe()
-        proc = training._FORK.Process(target=os._exit, args=(3,), name="silent")
+        conn, child_end = forking.FORK.Pipe()
+        proc = forking.FORK.Process(target=os._exit, args=(3,), name="silent")
         proc.start()
         start = time.perf_counter()
         with pytest.raises(ChildProcessError, match=r"silent \(pid \d+\) exited with code 3 before it replied"):
-            training._receive(proc, conn)
+            forking.receive(proc, conn)
         assert time.perf_counter() - start < 10
         conn.close()
         child_end.close()
